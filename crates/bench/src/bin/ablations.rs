@@ -15,13 +15,10 @@
 //!    future-work remark: independent kernels overlapped on streams engage
 //!    more cores when each launch underutilizes the device (small `n`).
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::{Device, DeviceConfig};
-use proclus::BadMedoidRule;
-use proclus_bench::runners::{fast_proclus, fast_star_proclus, proclus};
+use proclus::{Algo, BadMedoidRule};
+use proclus_bench::runners::{fast_proclus, fast_star_proclus, gpu, proclus};
 use proclus_bench::{time_cpu_ms, workloads, ExpTable, Options};
-use proclus_gpu::gpu_fast_proclus;
 
 fn main() {
     let opts = Options::from_args();
@@ -112,7 +109,7 @@ fn main() {
         let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
         dev.set_deterministic(det);
         let t0 = std::time::Instant::now();
-        let c = gpu_fast_proclus(&mut dev, data, &params).unwrap();
+        let c = gpu(&mut dev, data, &params, Algo::Fast).unwrap();
         (c, t0.elapsed().as_secs_f64() * 1e3, dev.elapsed_ms())
     };
     let (c_det, wall_det, sim_det) = run(true);

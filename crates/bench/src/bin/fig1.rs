@@ -6,13 +6,11 @@
 //! platforms, and FAST* is a 1.05–1.1× slowdown relative to FAST (the
 //! price of the factor-`B` space reduction, §5.1).
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::DeviceConfig;
-use proclus_bench::runners::{fast_proclus, fast_star_proclus, proclus};
+use proclus::Algo;
+use proclus_bench::runners::{fast_proclus, fast_star_proclus, gpu, proclus};
 use proclus_bench::workloads;
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
 
 fn main() {
     let opts = Options::from_args();
@@ -48,13 +46,13 @@ fn main() {
             fast_star_proclus(&datasets[r], &params(r)).unwrap();
         });
         let g_base = time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-            gpu_proclus(dev, &datasets[r], &params(r)).unwrap();
+            gpu(dev, &datasets[r], &params(r), Algo::Baseline).unwrap();
         });
         let g_fast = time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-            gpu_fast_proclus(dev, &datasets[r], &params(r)).unwrap();
+            gpu(dev, &datasets[r], &params(r), Algo::Fast).unwrap();
         });
         let g_star = time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-            gpu_fast_star_proclus(dev, &datasets[r], &params(r)).unwrap();
+            gpu(dev, &datasets[r], &params(r), Algo::FastStar).unwrap();
         });
 
         table.set("FAST/PROCLUS", t_base / t_fast);

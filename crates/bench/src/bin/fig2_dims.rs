@@ -5,13 +5,11 @@
 //! measures 896–1,265×, attributing the drop at high `d` to distance
 //! computations not being parallelized across dimensions).
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::DeviceConfig;
-use proclus_bench::runners::{fast_proclus, proclus};
+use proclus::Algo;
+use proclus_bench::runners::{fast_proclus, gpu, proclus};
 use proclus_bench::workloads::{self, names::*};
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_proclus};
 
 fn main() {
     let opts = Options::from_args();
@@ -53,13 +51,13 @@ fn main() {
         table.set(
             GPU_PROCLUS,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Baseline).unwrap();
             }),
         );
         table.set(
             GPU_FAST,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Fast).unwrap();
             }),
         );
     }

@@ -5,13 +5,11 @@
 //! largely unaffected by either knob (the work per iteration depends on
 //! `n`, `d`, `k`, not on how the points are arranged).
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::DeviceConfig;
-use proclus_bench::runners::{fast_proclus, proclus};
+use proclus::Algo;
+use proclus_bench::runners::{fast_proclus, gpu, proclus};
 use proclus_bench::workloads::{self, names::*};
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_proclus};
 
 fn run_sweep(
     opts: &Options,
@@ -43,13 +41,13 @@ fn run_sweep(
         table.set(
             GPU_PROCLUS,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Baseline).unwrap();
             }),
         );
         table.set(
             GPU_FAST,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Fast).unwrap();
             }),
         );
     }

@@ -7,14 +7,11 @@
 //! compute), while the GPU speedup factor stays roughly constant
 //! (≈1,100× in the paper) across all sweeps.
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::DeviceConfig;
-use proclus::Params;
-use proclus_bench::runners::{fast_proclus, proclus};
+use proclus::{Algo, Params};
+use proclus_bench::runners::{fast_proclus, gpu, proclus};
 use proclus_bench::workloads::{self, names::*};
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_proclus};
 
 fn run_sweep<F>(opts: &Options, n: usize, id: &str, x_name: &str, values: &[usize], set: F)
 where
@@ -49,13 +46,13 @@ where
         table.set(
             GPU_PROCLUS,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Baseline).unwrap();
             }),
         );
         table.set(
             GPU_FAST,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Fast).unwrap();
             }),
         );
     }

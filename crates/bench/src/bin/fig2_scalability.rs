@@ -8,15 +8,14 @@
 //! with `n` until the device saturates and then staying flat; at 1 M points
 //! GPU-FAST-PROCLUS stays under the 100 ms interactivity budget.
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::DeviceConfig;
+use proclus::Algo;
 use proclus_bench::runners::{
-    fast_proclus, fast_proclus_par, fast_star_proclus, fast_star_proclus_par, proclus, proclus_par,
+    fast_proclus, fast_proclus_par, fast_star_proclus, fast_star_proclus_par, gpu, proclus,
+    proclus_par,
 };
 use proclus_bench::workloads::{self, names::*};
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
 
 fn main() {
     let opts = Options::from_args();
@@ -92,19 +91,19 @@ fn main() {
         table.set(
             GPU_PROCLUS,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Baseline).unwrap();
             }),
         );
         table.set(
             GPU_FAST,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::Fast).unwrap();
             }),
         );
         table.set(
             GPU_FAST_STAR,
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_star_proclus(dev, &datasets[r], &params(r)).unwrap();
+                gpu(dev, &datasets[r], &params(r), Algo::FastStar).unwrap();
             }),
         );
     }

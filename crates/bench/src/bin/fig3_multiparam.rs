@@ -10,17 +10,17 @@
 
 use gpu_sim::DeviceConfig;
 use proclus::multi_param::{ReuseLevel, Setting};
-use proclus::{default_grid, fast_proclus_multi, proclus_multi};
+use proclus::{default_grid, Algo, Grid};
+use proclus_bench::runners::{cpu_grid, gpu_grid};
 use proclus_bench::workloads::{self, names::PROCLUS};
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus_multi, gpu_proclus_multi};
 
 fn main() {
     let opts = Options::from_args();
     let gpu_cfg = DeviceConfig::gtx_1660_ti();
     let grid: Vec<Setting> = default_grid(10, 5);
     let settings = grid.len() as f64;
-    let exec = proclus::par::Executor::Sequential;
+    let independent = Grid::new(grid.clone(), ReuseLevel::Independent);
 
     let mut table = ExpTable::new(
         "fig3ae_multiparam_avg_per_setting",
@@ -51,21 +51,28 @@ fn main() {
             table.set(
                 PROCLUS,
                 time_cpu_ms(opts.reps, |r| {
-                    proclus_multi(&datasets[r], &base(r), &grid, &exec).unwrap();
+                    cpu_grid(&datasets[r], &base(r), Algo::Baseline, independent.clone()).unwrap();
                 }) / settings,
             );
             table.set(
                 "FAST-multi3",
                 time_cpu_ms(opts.reps, |r| {
-                    fast_proclus_multi(&datasets[r], &base(r), &grid, ReuseLevel::WarmStart, &exec)
-                        .unwrap();
+                    let warm = Grid::new(grid.clone(), ReuseLevel::WarmStart);
+                    cpu_grid(&datasets[r], &base(r), Algo::Fast, warm).unwrap();
                 }) / settings,
             );
         }
         table.set(
             "GPU-PROCLUS",
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_proclus_multi(dev, &datasets[r], &base(r), &grid).unwrap();
+                gpu_grid(
+                    dev,
+                    &datasets[r],
+                    &base(r),
+                    Algo::Baseline,
+                    independent.clone(),
+                )
+                .unwrap();
             }) / settings,
         );
         for (name, level) in [
@@ -77,7 +84,8 @@ fn main() {
             table.set(
                 name,
                 time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                    gpu_fast_proclus_multi(dev, &datasets[r], &base(r), &grid, level).unwrap();
+                    let reuse = Grid::new(grid.clone(), level);
+                    gpu_grid(dev, &datasets[r], &base(r), Algo::Fast, reuse).unwrap();
                 }) / settings,
             );
         }

@@ -10,17 +10,18 @@
 
 use gpu_sim::DeviceConfig;
 use proclus::multi_param::{ReuseLevel, Setting};
-use proclus::{default_grid, proclus_multi};
+use proclus::{default_grid, Algo, Grid};
+use proclus_bench::runners::{cpu_grid, gpu_grid};
 use proclus_bench::workloads::names::PROCLUS;
 use proclus_bench::{time_cpu_ms, time_gpu_ms, ExpTable, Options};
-use proclus_gpu::gpu_fast_proclus_multi;
 
 fn main() {
     let opts = Options::from_args();
     let gpu_cfg = DeviceConfig::gtx_1660_ti();
     let grid: Vec<Setting> = default_grid(10, 5);
     let settings = grid.len() as f64;
-    let exec = proclus::par::Executor::Sequential;
+    let independent = Grid::new(grid.clone(), ReuseLevel::Independent);
+    let warm = Grid::new(grid.clone(), ReuseLevel::WarmStart);
 
     let datasets: &[&str] = if opts.quick {
         &["glass", "vowel"]
@@ -45,13 +46,13 @@ fn main() {
         table.set(
             PROCLUS,
             time_cpu_ms(opts.reps, |r| {
-                proclus_multi(&data, &base(r), &grid, &exec).unwrap();
+                cpu_grid(&data, &base(r), Algo::Baseline, independent.clone()).unwrap();
             }) / settings,
         );
         table.set(
             "GPU-FAST-L3",
             time_gpu_ms(&gpu_cfg, opts.reps, |r, dev| {
-                gpu_fast_proclus_multi(dev, &data, &base(r), &grid, ReuseLevel::WarmStart).unwrap();
+                gpu_grid(dev, &data, &base(r), Algo::Fast, warm.clone()).unwrap();
             }) / settings,
         );
     }

@@ -9,12 +9,11 @@
 //! deterministic model output (pool accounting), so one repetition
 //! suffices.
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::{Device, DeviceConfig};
+use proclus::Algo;
+use proclus_bench::runners::gpu;
 use proclus_bench::workloads::{self, names::*};
 use proclus_bench::{ExpTable, Options};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
 
 fn main() {
     let opts = Options::from_args();
@@ -33,16 +32,12 @@ fn main() {
         let params = workloads::default_params().with_seed(opts.seed);
 
         let mut peaks = [0usize; 3];
-        for (slot, run) in [
-            gpu_proclus as fn(&mut Device, &proclus::DataMatrix, &proclus::Params) -> _,
-            gpu_fast_proclus,
-            gpu_fast_star_proclus,
-        ]
-        .iter()
-        .enumerate()
+        for (slot, algo) in [Algo::Baseline, Algo::Fast, Algo::FastStar]
+            .into_iter()
+            .enumerate()
         {
             let mut dev = Device::new(gpu_cfg.clone());
-            run(&mut dev, &data, &params).unwrap();
+            gpu(&mut dev, &data, &params, algo).unwrap();
             peaks[slot] = dev.mem_peak();
         }
         let mb = |b: usize| b as f64 / 1e6;
@@ -68,7 +63,7 @@ fn main() {
         let data = workloads::synthetic_data(&cfg, 0);
         let params = workloads::default_params().with_seed(opts.seed);
         let mut dev = Device::new(limited.clone());
-        match gpu_fast_proclus(&mut dev, &data, &params) {
+        match gpu(&mut dev, &data, &params, Algo::Fast) {
             Ok(_) => println!(
                 "  n = {n:>8}: ok (peak {:.1} MB)",
                 dev.mem_peak() as f64 / 1e6

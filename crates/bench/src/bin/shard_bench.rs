@@ -60,14 +60,14 @@ fn workload(quick: bool) -> Workload {
     }
 }
 
-/// One full FAST run on `devices` shards; returns the simulated time (ms).
+/// One full FAST run on `devices` shards; returns the simulated time (ms)
+/// of the run itself, shard setup excluded.
 fn sharded_run_ms(
     device: &DeviceConfig,
     data: &DataMatrix,
     params: &Params,
     devices: usize,
 ) -> f64 {
-    let cancel = CancelToken::default();
     let mut backend = ShardedBackend::new(
         device,
         data,
@@ -75,11 +75,11 @@ fn sharded_run_ms(
         params.k,
         params.sample_size(data.n()),
         GpuVariant::Fast,
-        cancel.clone(),
     )
     .expect("shard ensemble allocates");
-    let result = run_full(&mut backend, params, &NullRecorder, &cancel);
-    let sim_us = backend.clock_us().unwrap_or(0.0);
+    let setup_us = backend.clock_us().unwrap_or(0.0);
+    let result = run_full(&mut backend, params, &NullRecorder, &CancelToken::default());
+    let sim_us = backend.clock_us().unwrap_or(0.0) - setup_us;
     backend.free().expect("shard ensemble frees");
     result.expect("sharded run succeeds");
     sim_us / 1_000.0

@@ -10,11 +10,10 @@
 //!   occupancy around 50 % and an achieved occupancy of a few percent —
 //!   "not a good utilization, but not a time-consuming computation either".
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_sim::{Device, DeviceConfig};
+use proclus::Algo;
+use proclus_bench::runners::gpu;
 use proclus_bench::{workloads, Options};
-use proclus_gpu::gpu_fast_proclus;
 
 fn main() {
     let opts = Options::from_args();
@@ -31,7 +30,7 @@ fn main() {
         let params = workloads::default_params().with_seed(opts.seed);
 
         let mut dev = Device::new(gpu_cfg.clone());
-        gpu_fast_proclus(&mut dev, &data, &params).unwrap();
+        gpu(&mut dev, &data, &params, Algo::Fast).unwrap();
         let report = dev.report();
         println!("\n## kernel utilization, n = {n} ({tag}), d = 10, k = 10");
         print!("{}", report.kernel_table());

@@ -1,11 +1,13 @@
-//! Thin CPU-variant runners for the harnesses.
+//! Thin runners for the harnesses.
 //!
-//! The legacy per-variant free functions (`proclus`, `fast_proclus`, …)
-//! were removed from the `proclus` crate in favor of the unified
-//! [`proclus::run`] entry point over the `Backend` trait; the harnesses
-//! still want one-call-per-variant ergonomics, so the aliases live here.
+//! Every run goes through the unified entry points ([`proclus::run`] and
+//! [`proclus_gpu::run_on`]); the harnesses still want one call per
+//! variant or grid, so the aliases live here.
 
-use proclus::{run, Algo, Clustering, Config, DataMatrix, Params, Result};
+use gpu_sim::Device;
+use proclus::{
+    run, Algo, Backend, Clustering, Config, DataMatrix, Grid, Params, Result, RunOutput,
+};
 
 fn cpu(data: &DataMatrix, params: &Params, algo: Algo, threads: usize) -> Result<Clustering> {
     let config = Config::new(params.clone())
@@ -46,4 +48,49 @@ pub fn fast_star_proclus_par(
     threads: usize,
 ) -> Result<Clustering> {
     cpu(data, params, Algo::FastStar, threads)
+}
+
+/// One run of `algo` on the simulated `dev` (its clock and memory pool
+/// accumulate across calls).
+pub fn gpu(dev: &mut Device, data: &DataMatrix, params: &Params, algo: Algo) -> Result<Clustering> {
+    let config = Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .and_then(all_settings)
+        .map(|mut c| c.remove(0))
+}
+
+/// A sequential CPU grid of `algo`; any failed setting fails the call.
+pub fn cpu_grid(
+    data: &DataMatrix,
+    base: &Params,
+    algo: Algo,
+    grid: Grid,
+) -> Result<Vec<Clustering>> {
+    let config = Config::new(base.clone()).with_algo(algo).with_grid(grid);
+    run(data, &config).and_then(all_settings)
+}
+
+/// A grid of `algo` on the simulated `dev`; any failed setting fails the
+/// call.
+pub fn gpu_grid(
+    dev: &mut Device,
+    data: &DataMatrix,
+    base: &Params,
+    algo: Algo,
+    grid: Grid,
+) -> Result<Vec<Clustering>> {
+    let config = Config::new(base.clone())
+        .with_algo(algo)
+        .with_backend(Backend::Gpu)
+        .with_grid(grid);
+    proclus_gpu::run_on(dev, data, &config).and_then(all_settings)
+}
+
+fn all_settings(out: RunOutput) -> Result<Vec<Clustering>> {
+    match out.setting_errors.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Ok(out.clusterings),
+    }
 }

@@ -6,7 +6,7 @@
 //! the CPU path, the simulated-GPU path, and the sharded multi-device path
 //! is *where the per-phase numeric primitives execute* — so that is exactly
 //! what the [`Backend`] trait owns. The driver (`crate::driver`, reached
-//! through [`run_full`] / [`run_core`]) holds every decision: medoid
+//! through [`run_grid`] / [`run_core`]) holds every decision: medoid
 //! bookkeeping, RNG draws, best-cost tracking, termination, cancellation
 //! polls, and phase telemetry. A backend holds every number: the data, the
 //! `Dist`/`H` state of Theorems 3.1/3.2, the current `X`, labels, and
@@ -29,18 +29,23 @@
 //! * **Cancellation.** The driver polls its [`crate::CancelToken`] at the
 //!   top of every iteration and before refinement. Backends whose
 //!   primitives are internally long-running (sharded loops over devices)
-//!   must additionally poll their own token clone between per-device steps
-//!   so a cancel lands mid-phase, not at the next barrier.
+//!   must additionally poll the token [`Backend::set_cancel`] installed for
+//!   the current setting between per-device steps, so a cancel lands
+//!   mid-phase, not at the next barrier.
 //! * **Telemetry.** Phase spans are opened by the driver. Backends with a
 //!   simulated clock report it through [`Backend::clock_us`] (the driver
 //!   annotates each phase span with the simulated microseconds it
 //!   consumed) and may attribute extra counters (cache hits, `ΔL` sizes)
 //!   to the innermost open span via the `rec` handle they receive.
 //!
-//! [`run_full`]: crate::backend::run_full
+//! Backends are opened and freed by a [`BackendFactory`], so allocation
+//! and its clean-up are written once per backend, not once per runner.
+//!
+//! [`run_grid`]: crate::backend::run_grid
 
 use proclus_telemetry::Recorder;
 
+use crate::cancel::CancelToken;
 use crate::dataset::DataMatrix;
 use crate::driver::XEngine;
 use crate::error::{ProclusError, Result};
@@ -52,7 +57,10 @@ use crate::phases::initialization::greedy_select;
 use crate::phases::refinement::{remove_outliers, x_from_clusters};
 use crate::rng::ProclusRng;
 
-pub use crate::driver::{greedy_phase, grid_core_shared, initialization_phase, run_core, run_full};
+pub use crate::driver::{
+    dispatch, greedy_phase, initialization_phase, run_core, run_full, run_grid, BackendFactory,
+    CpuFactory, PartitionedOutcomes,
+};
 
 /// The per-phase primitives one execution backend provides.
 ///
@@ -72,6 +80,13 @@ pub trait Backend {
     /// one. The driver annotates each phase span with the delta.
     fn clock_us(&self) -> Option<f64> {
         None
+    }
+
+    /// Installs the token of the setting about to run. Backends that poll
+    /// a token of their own between per-device steps keep it; the rest
+    /// ignore it.
+    fn set_cancel(&mut self, cancel: &CancelToken) {
+        let _ = cancel;
     }
 
     /// Greedy farthest-point selection of `count` potential medoids from

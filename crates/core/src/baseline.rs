@@ -4,15 +4,10 @@
 
 use proclus_telemetry::{counters, Recorder};
 
-use crate::backend::CpuBackend;
-use crate::cancel::CancelToken;
 use crate::dataset::DataMatrix;
-use crate::driver::{run_full, XEngine};
-use crate::error::Result;
+use crate::driver::XEngine;
 use crate::par::Executor;
-use crate::params::Params;
 use crate::phases::compute_l::{compute_x_baseline, medoid_deltas};
-use crate::result::Clustering;
 
 /// The baseline `X` engine: ComputeL + FindDimensions sums recomputed every
 /// iteration — the `O(n · k · d)` cost FAST-PROCLUS eliminates.
@@ -40,41 +35,23 @@ impl XEngine for BaselineEngine {
     }
 }
 
-pub(crate) fn run_baseline(
-    data: &DataMatrix,
-    params: &Params,
-    exec: &Executor,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<Clustering> {
-    params.validate(data)?;
-    let mut backend = CpuBackend::with_engine(data, *exec, Box::new(BaselineEngine));
-    run_full(&mut backend, params, rec, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::OUTLIER;
-
-    fn proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_baseline(
-            data,
-            params,
-            &Executor::Sequential,
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
-    }
+    use crate::config::{Algo, Config};
+    use crate::error::Result;
+    use crate::params::Params;
+    use crate::result::{Clustering, OUTLIER};
 
     fn proclus_par(data: &DataMatrix, params: &Params, threads: usize) -> Result<Clustering> {
-        run_baseline(
-            data,
-            params,
-            &Executor::Parallel { threads },
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
+        let config = Config::new(params.clone())
+            .with_algo(Algo::Baseline)
+            .with_threads(threads);
+        crate::run(data, &config).map(|o| o.clusterings[0].clone())
+    }
+
+    fn proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
+        proclus_par(data, params, 1)
     }
 
     /// Two well-separated Gaussian-ish blobs in dims {0,1} of 4-D data.

@@ -6,15 +6,10 @@ use std::collections::HashMap;
 
 use proclus_telemetry::{counters, Recorder};
 
-use crate::backend::CpuBackend;
-use crate::cancel::CancelToken;
 use crate::dataset::DataMatrix;
 use crate::distance_simd::{debug_assert_finite, dist_rows_strip, euclidean_strip, fold_abs_diff};
-use crate::driver::{run_full, XEngine};
-use crate::error::Result;
+use crate::driver::XEngine;
 use crate::par::Executor;
-use crate::params::Params;
-use crate::result::Clustering;
 
 /// Fills `out[p] = ‖data_p − m‖₂` for all points (one `Dist` row),
 /// in parallel — GPU Alg. 3 lines 1–3. Uses the 8-lane vectorized strip
@@ -337,53 +332,38 @@ impl XEngine for FastEngine {
     }
 }
 
-pub(crate) fn run_fast(
-    data: &DataMatrix,
-    params: &Params,
-    exec: &Executor,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<Clustering> {
-    params.validate(data)?;
-    let mut backend = CpuBackend::with_engine(data, *exec, Box::new(FastEngine::new(data)));
-    run_full(&mut backend, params, rec, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::run_baseline;
+    use crate::config::{Algo, Config};
     use crate::distance::euclidean;
+    use crate::error::Result;
+    use crate::params::Params;
     use crate::phases::compute_l::{compute_x_baseline, medoid_deltas};
+    use crate::result::Clustering;
+
+    fn run_algo(
+        data: &DataMatrix,
+        params: &Params,
+        algo: Algo,
+        threads: usize,
+    ) -> Result<Clustering> {
+        let config = Config::new(params.clone())
+            .with_algo(algo)
+            .with_threads(threads);
+        crate::run(data, &config).map(|o| o.clusterings[0].clone())
+    }
 
     fn proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_baseline(
-            data,
-            params,
-            &Executor::Sequential,
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
+        run_algo(data, params, Algo::Baseline, 1)
     }
 
     fn fast_proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_fast(
-            data,
-            params,
-            &Executor::Sequential,
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
+        run_algo(data, params, Algo::Fast, 1)
     }
 
     fn fast_proclus_par(data: &DataMatrix, params: &Params, threads: usize) -> Result<Clustering> {
-        run_fast(
-            data,
-            params,
-            &Executor::Parallel { threads },
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
+        run_algo(data, params, Algo::Fast, threads)
     }
 
     fn blob_data(n: usize) -> DataMatrix {

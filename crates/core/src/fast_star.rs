@@ -8,16 +8,11 @@
 
 use proclus_telemetry::{counters, Recorder};
 
-use crate::backend::CpuBackend;
-use crate::cancel::CancelToken;
 use crate::dataset::DataMatrix;
 use crate::distance_simd::debug_assert_finite;
-use crate::driver::{run_full, XEngine};
-use crate::error::Result;
+use crate::driver::XEngine;
 use crate::fast::{compute_dist_rows, update_h_row};
 use crate::par::Executor;
-use crate::params::Params;
-use crate::result::Clustering;
 
 /// The FAST*-PROCLUS `X` engine: per-slot caches of size `k`.
 pub(crate) struct FastStarEngine {
@@ -143,55 +138,37 @@ impl XEngine for FastStarEngine {
     }
 }
 
-pub(crate) fn run_fast_star(
-    data: &DataMatrix,
-    params: &Params,
-    exec: &Executor,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<Clustering> {
-    params.validate(data)?;
-    let mut backend =
-        CpuBackend::with_engine(data, *exec, Box::new(FastStarEngine::new(data, params.k)));
-    run_full(&mut backend, params, rec, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::run_baseline;
-    use crate::fast::{run_fast, DistCache};
+    use crate::config::{Algo, Config};
+    use crate::error::Result;
+    use crate::fast::DistCache;
+    use crate::params::Params;
+    use crate::result::Clustering;
 
     fn run_seq(
-        f: impl Fn(&DataMatrix, &Params, &Executor, &dyn Recorder, &CancelToken) -> Result<Clustering>,
+        algo: Algo,
         data: &DataMatrix,
         params: &Params,
         threads: usize,
     ) -> Result<Clustering> {
-        let exec = if threads > 1 {
-            Executor::Parallel { threads }
-        } else {
-            Executor::Sequential
-        };
-        f(
-            data,
-            params,
-            &exec,
-            &proclus_telemetry::NullRecorder,
-            &CancelToken::new(),
-        )
+        let config = Config::new(params.clone())
+            .with_algo(algo)
+            .with_threads(threads);
+        crate::run(data, &config).map(|o| o.clusterings[0].clone())
     }
 
     fn proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_seq(run_baseline, data, params, 1)
+        run_seq(Algo::Baseline, data, params, 1)
     }
 
     fn fast_proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_seq(run_fast, data, params, 1)
+        run_seq(Algo::Fast, data, params, 1)
     }
 
     fn fast_star_proclus(data: &DataMatrix, params: &Params) -> Result<Clustering> {
-        run_seq(run_fast_star, data, params, 1)
+        run_seq(Algo::FastStar, data, params, 1)
     }
 
     fn fast_star_proclus_par(
@@ -199,7 +176,7 @@ mod tests {
         params: &Params,
         threads: usize,
     ) -> Result<Clustering> {
-        run_seq(run_fast_star, data, params, threads)
+        run_seq(Algo::FastStar, data, params, threads)
     }
 
     fn blob_data(n: usize) -> DataMatrix {

@@ -21,7 +21,8 @@
 //!   (per-thread partials + reduction, the OpenMP structure) built on
 //!   [`par::Executor`].
 //! * [`Config::with_grid`] — a grid of `(k, l)` settings with the three
-//!   cumulative reuse levels of §3.1 (see [`multi_param`]).
+//!   cumulative reuse levels of §3.1 (see [`multi_param`]); [`run_grid`]
+//!   runs one over any [`BackendFactory`] with per-setting outcomes.
 //! * [`Config::with_telemetry`] — phase spans and algorithm counters
 //!   (distances computed, cache hits, `ΔL` sizes, …) recorded into
 //!   [`RunOutput::telemetry`]; see the [`telemetry`] crate re-export.
@@ -84,16 +85,12 @@ pub use proclus_telemetry as telemetry;
 pub use cancel::CancelToken;
 pub use config::{Algo, Backend, Config, Grid, RunOutput};
 pub use dataset::DataMatrix;
+pub use driver::{dispatch, run_grid, BackendFactory, CpuFactory, PartitionedOutcomes};
 pub use error::{ProclusError, Result};
-pub use multi_param::{
-    default_grid, fast_proclus_multi, fast_proclus_multi_outcomes, proclus_multi,
-    proclus_multi_outcomes, ReuseLevel, Setting,
-};
+pub use multi_param::{default_grid, ReuseLevel, Setting};
 pub use params::{BadMedoidRule, Params, ParamsBuilder};
 pub use result::{Clustering, OUTLIER};
 pub use rng::ProclusRng;
 #[doc(hidden)]
-pub use run::{
-    executor_for, partition_outcomes, run_cpu_with, run_single_on, stamp_meta, PartitionedOutcomes,
-};
+pub use run::{executor_for, run_single_on, stamp_meta};
 pub use run::{run, run_with_cancel};

@@ -18,19 +18,12 @@
 //!
 //! [`ReuseLevel::Independent`] runs every setting from scratch (the
 //! comparison baseline in Fig. 3a–e).
+//!
+//! A grid runs through [`crate::run`] with [`crate::Config::with_grid`],
+//! or through [`crate::run_grid`] for per-setting outcomes on any backend.
 
-use proclus_telemetry::{span, NullRecorder, Recorder};
-
-use crate::backend::CpuBackend;
-use crate::baseline::BaselineEngine;
 use crate::cancel::CancelToken;
-use crate::dataset::DataMatrix;
-use crate::driver::{grid_core_shared, initialization_phase, run_core};
-use crate::error::Result;
-use crate::fast::FastEngine;
-use crate::par::Executor;
 use crate::params::Params;
-use crate::result::Clustering;
 use crate::rng::ProclusRng;
 
 /// One parameter setting of the exploration grid.
@@ -76,102 +69,6 @@ pub(crate) fn cancel_for(cancels: &[CancelToken], i: usize) -> CancelToken {
     cancels.get(i).cloned().unwrap_or_default()
 }
 
-/// Runs FAST-PROCLUS over a grid of settings with the chosen reuse level.
-/// Returns one clustering per setting, in input order.
-///
-/// Any invalid setting fails the whole call (the historical contract);
-/// use [`fast_proclus_multi_outcomes`] for per-setting skip-and-report.
-pub fn fast_proclus_multi(
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    level: ReuseLevel,
-    exec: &Executor,
-) -> Result<Vec<Clustering>> {
-    for &s in settings {
-        derive_params(base, s).validate(data)?;
-    }
-    fast_proclus_multi_outcomes(data, base, settings, level, exec, &NullRecorder, &[])
-        .into_iter()
-        .collect()
-}
-
-/// [`fast_proclus_multi`] with per-setting **outcomes**: an invalid or
-/// cancelled setting yields `Err` in its slot instead of aborting the whole
-/// grid, and every other setting still runs. This is the entry point the
-/// serving layer batches through.
-///
-/// * Each setting is recorded as its own root `run` span — including failed
-///   settings, whose (empty) span keeps the span↔setting correspondence
-///   stable for per-job telemetry splitting. The shared greedy pass of
-///   level ≥ 2, when present, is a free-standing `initialization` span
-///   before the first run (batch overhead, attributable to no single job).
-/// * `cancels` is either empty or holds one [`CancelToken`] per setting;
-///   token `i` is checked before and during (at phase boundaries) the run
-///   of setting `i`.
-/// * Skipped settings consume no RNG draws, so the remaining settings
-///   produce the same clusterings as a grid submitted without the invalid
-///   entries.
-/// * Shared state (sample size, `|M| = B·k_max`) is derived from the
-///   *valid* settings only.
-pub fn fast_proclus_multi_outcomes(
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    level: ReuseLevel,
-    exec: &Executor,
-    rec: &dyn Recorder,
-    cancels: &[CancelToken],
-) -> Vec<Result<Clustering>> {
-    debug_assert!(cancels.is_empty() || cancels.len() == settings.len());
-    let validity: Vec<Result<()>> = settings
-        .iter()
-        .map(|&s| derive_params(base, s).validate(data))
-        .collect();
-    let mut rng = ProclusRng::new(base.seed);
-
-    if level == ReuseLevel::Independent {
-        let mut results: Vec<Result<Clustering>> = Vec::with_capacity(settings.len());
-        for (i, &s) in settings.iter().enumerate() {
-            let _run = span(rec, "run");
-            if let Err(e) = &validity[i] {
-                results.push(Err(e.clone()));
-                continue;
-            }
-            let cancel = cancel_for(cancels, i);
-            if let Err(e) = cancel.check() {
-                results.push(Err(e));
-                continue;
-            }
-            let params = derive_params(base, s);
-            let mut backend = CpuBackend::with_engine(data, *exec, Box::new(FastEngine::new(data)));
-            results.push(
-                initialization_phase(&mut backend, &params, &mut rng, rec)
-                    .and_then(|m_data| {
-                        run_core(&mut backend, &params, &mut rng, &m_data, None, rec, &cancel)
-                    })
-                    .map(|(c, _)| c),
-            );
-        }
-        return results;
-    }
-
-    // Reuse levels ≥ 1 share the sample, the Dist/H caches (the backend
-    // persists across settings), and — at higher levels — the greedy pass
-    // and the warm-start medoids. The loop itself is backend-generic.
-    let mut backend = CpuBackend::with_engine(data, *exec, Box::new(FastEngine::new(data)));
-    grid_core_shared(
-        &mut backend,
-        base,
-        settings,
-        level,
-        &validity,
-        &mut rng,
-        rec,
-        cancels,
-    )
-}
-
 /// Builds an initial medoid set of size `k` from the previous best medoids
 /// (indices into the shared `M`): a random subset when shrinking, the full
 /// previous set plus random fresh medoids when growing.
@@ -196,64 +93,6 @@ pub(crate) fn warm_start_mcur(
     }
 }
 
-/// Runs baseline PROCLUS independently for every setting (the reference
-/// point of Fig. 3a–e; no reuse is possible in the baseline).
-///
-/// Any invalid setting fails the whole call (the historical contract);
-/// use [`proclus_multi_outcomes`] for per-setting skip-and-report.
-pub fn proclus_multi(
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    exec: &Executor,
-) -> Result<Vec<Clustering>> {
-    for &s in settings {
-        derive_params(base, s).validate(data)?;
-    }
-    proclus_multi_outcomes(data, base, settings, exec, &NullRecorder, &[])
-        .into_iter()
-        .collect()
-}
-
-/// [`proclus_multi`] with per-setting outcomes: one root `run` span per
-/// setting (failed settings included), `Err` slots for invalid or cancelled
-/// settings, and no RNG consumption by skipped settings. See
-/// [`fast_proclus_multi_outcomes`] for the contract details.
-pub fn proclus_multi_outcomes(
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    exec: &Executor,
-    rec: &dyn Recorder,
-    cancels: &[CancelToken],
-) -> Vec<Result<Clustering>> {
-    debug_assert!(cancels.is_empty() || cancels.len() == settings.len());
-    let mut rng = ProclusRng::new(base.seed);
-    let mut results: Vec<Result<Clustering>> = Vec::with_capacity(settings.len());
-    for (i, &s) in settings.iter().enumerate() {
-        let _run = span(rec, "run");
-        let params = derive_params(base, s);
-        if let Err(e) = params.validate(data) {
-            results.push(Err(e));
-            continue;
-        }
-        let cancel = cancel_for(cancels, i);
-        if let Err(e) = cancel.check() {
-            results.push(Err(e));
-            continue;
-        }
-        let mut backend = CpuBackend::with_engine(data, *exec, Box::new(BaselineEngine));
-        results.push(
-            initialization_phase(&mut backend, &params, &mut rng, rec)
-                .and_then(|m_data| {
-                    run_core(&mut backend, &params, &mut rng, &m_data, None, rec, &cancel)
-                })
-                .map(|(c, _)| c),
-        );
-    }
-    results
-}
-
 /// The 9-combination `(k, l)` grid used throughout §5.3 of the paper:
 /// `k ∈ {k₀−2, k₀, k₀+2} × l ∈ {l₀−2, l₀, l₀+2}` around the defaults.
 pub fn default_grid(k0: usize, l0: usize) -> Vec<Setting> {
@@ -271,6 +110,13 @@ pub fn default_grid(k0: usize, l0: usize) -> Vec<Setting> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{run_grid, CpuFactory};
+    use crate::config::Algo;
+    use crate::dataset::DataMatrix;
+    use crate::error::Result;
+    use crate::par::Executor;
+    use crate::result::Clustering;
+    use proclus_telemetry::{NullRecorder, Recorder};
 
     fn blob_data(n: usize) -> DataMatrix {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -291,6 +137,32 @@ mod tests {
         vec![Setting::new(3, 2), Setting::new(4, 3), Setting::new(5, 2)]
     }
 
+    /// A sequential CPU grid with per-setting outcomes.
+    fn cpu_grid(
+        data: &DataMatrix,
+        algo: Algo,
+        base: &Params,
+        settings: &[Setting],
+        level: ReuseLevel,
+        rec: &dyn Recorder,
+        cancels: &[CancelToken],
+    ) -> Vec<Result<Clustering>> {
+        let mut factory = CpuFactory::new(data, Executor::Sequential, algo);
+        run_grid(&mut factory, base, settings, level, rec, cancels)
+    }
+
+    fn fast_grid(
+        data: &DataMatrix,
+        base: &Params,
+        settings: &[Setting],
+        level: ReuseLevel,
+    ) -> Vec<Clustering> {
+        cpu_grid(data, Algo::Fast, base, settings, level, &NullRecorder, &[])
+            .into_iter()
+            .collect::<Result<_>>()
+            .unwrap()
+    }
+
     #[test]
     fn all_levels_produce_valid_results_per_setting() {
         let data = blob_data(500);
@@ -301,8 +173,7 @@ mod tests {
             ReuseLevel::SharedGreedy,
             ReuseLevel::WarmStart,
         ] {
-            let results =
-                fast_proclus_multi(&data, &base, &grid(), level, &Executor::Sequential).unwrap();
+            let results = fast_grid(&data, &base, &grid(), level);
             assert_eq!(results.len(), 3);
             for (r, s) in results.iter().zip(grid()) {
                 r.validate_structure(500, 4, s.l)
@@ -313,12 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn proclus_multi_matches_settings() {
+    fn baseline_grid_matches_settings() {
         let data = blob_data(400);
         let base = Params::new(5, 2).with_a(20).with_b(4).with_seed(5);
-        let results = proclus_multi(&data, &base, &grid(), &Executor::Sequential).unwrap();
+        let results = cpu_grid(
+            &data,
+            Algo::Baseline,
+            &base,
+            &grid(),
+            ReuseLevel::Independent,
+            &NullRecorder,
+            &[],
+        );
         assert_eq!(results.len(), 3);
-        assert_eq!(results[1].k(), 4);
+        assert_eq!(results[1].as_ref().unwrap().k(), 4);
     }
 
     #[test]
@@ -361,12 +240,12 @@ mod tests {
         let base = Params::new(5, 2).with_a(20).with_b(4).with_seed(31);
         // l = 9 > d = 4 → invalid; the neighbours must still run.
         let settings = vec![Setting::new(3, 2), Setting::new(3, 9), Setting::new(4, 3)];
-        let out = fast_proclus_multi_outcomes(
+        let out = cpu_grid(
             &data,
+            Algo::Fast,
             &base,
             &settings,
             ReuseLevel::SharedCache,
-            &Executor::Sequential,
             &NullRecorder,
             &[],
         );
@@ -377,25 +256,14 @@ mod tests {
             Err(crate::error::ProclusError::DimensionalityExceeded { l: 9, d: 4 })
         ));
         assert!(out[2].is_ok());
-        // The strict wrapper keeps the historical abort-on-invalid contract.
-        assert!(fast_proclus_multi(
-            &data,
-            &base,
-            &settings,
-            ReuseLevel::SharedCache,
-            &Executor::Sequential
-        )
-        .is_err());
         // Skipped settings consume no RNG: the valid settings match a grid
         // submitted without the invalid entry.
-        let clean = fast_proclus_multi(
+        let clean = fast_grid(
             &data,
             &base,
             &[settings[0], settings[2]],
             ReuseLevel::SharedCache,
-            &Executor::Sequential,
-        )
-        .unwrap();
+        );
         assert_eq!(out[0].as_ref().unwrap(), &clean[0]);
         assert_eq!(out[2].as_ref().unwrap(), &clean[1]);
     }
@@ -405,17 +273,17 @@ mod tests {
         let data = blob_data(400);
         let base = Params::new(4, 2).with_a(20).with_b(4).with_seed(5);
         let settings = vec![Setting::new(1, 2), Setting::new(3, 2)];
-        let out = proclus_multi_outcomes(
+        let out = cpu_grid(
             &data,
+            Algo::Baseline,
             &base,
             &settings,
-            &Executor::Sequential,
+            ReuseLevel::Independent,
             &NullRecorder,
             &[],
         );
         assert!(out[0].is_err());
         assert!(out[1].is_ok());
-        assert!(proclus_multi(&data, &base, &settings, &Executor::Sequential).is_err());
     }
 
     #[test]
@@ -425,12 +293,12 @@ mod tests {
         let settings = vec![Setting::new(3, 2), Setting::new(4, 2)];
         let cancels = vec![CancelToken::new(), CancelToken::new()];
         cancels[1].cancel();
-        let out = fast_proclus_multi_outcomes(
+        let out = cpu_grid(
             &data,
+            Algo::Fast,
             &base,
             &settings,
             ReuseLevel::SharedGreedy,
-            &Executor::Sequential,
             &NullRecorder,
             &cancels,
         );
@@ -448,12 +316,12 @@ mod tests {
         let base = Params::new(4, 2).with_a(20).with_b(4).with_seed(3);
         let settings = vec![Setting::new(3, 2), Setting::new(3, 99), Setting::new(4, 2)];
         let tel = Telemetry::new();
-        let out = fast_proclus_multi_outcomes(
+        let out = cpu_grid(
             &data,
+            Algo::Fast,
             &base,
             &settings,
             ReuseLevel::SharedGreedy,
-            &Executor::Sequential,
             &tel,
             &[],
         );
@@ -475,14 +343,7 @@ mod tests {
         let data = blob_data(400);
         let base = Params::new(4, 2).with_a(20).with_b(4).with_seed(77);
         let settings = vec![Setting::new(4, 2), Setting::new(4, 2)];
-        let a = fast_proclus_multi(
-            &data,
-            &base,
-            &settings,
-            ReuseLevel::SharedGreedy,
-            &Executor::Sequential,
-        )
-        .unwrap();
+        let a = fast_grid(&data, &base, &settings, ReuseLevel::SharedGreedy);
         assert_eq!(a.len(), 2);
         for r in &a {
             r.validate_structure(400, 4, 2).unwrap();

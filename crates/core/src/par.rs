@@ -684,6 +684,19 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::Duration;
 
+    /// Serialises the tests that count pool steals, need idle workers to
+    /// steal, or load every core with threads of their own. Run at once,
+    /// one of them can keep the pool's workers off the cores for the whole
+    /// window another relies on — the submitter then finishes its own
+    /// block before a thief arrives.
+    static POOL_TESTS: Mutex<()> = Mutex::new(());
+
+    fn pool_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        // A failed (or deliberately panicking) test poisons the lock; the
+        // unit value it guards cannot be left inconsistent.
+        POOL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn modes() -> [Executor; 4] {
         [
             Executor::Sequential,
@@ -834,6 +847,7 @@ mod tests {
 
     #[test]
     fn pool_runs_grains_on_multiple_threads() {
+        let _serial = pool_test_lock();
         let exec = Executor::Parallel { threads: 4 };
         let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
         exec.map_chunks(
@@ -851,6 +865,7 @@ mod tests {
 
     #[test]
     fn steal_under_skew_redistributes_the_stragglers_block() {
+        let _serial = pool_test_lock();
         // Grain 0 (owned by the submitter, who pops its block in ascending
         // order) blocks for a long time; the rest of the submitter's block
         // must be stolen and finished by other participants.
@@ -859,6 +874,7 @@ mod tests {
         let w = 2usize.min(grains);
         let first_block = grains.div_ceil(w); // grains owned by slot 0
         let owners: Mutex<Vec<Option<ThreadId>>> = Mutex::new(vec![None; grains]);
+        let straggling = std::sync::atomic::AtomicBool::new(false);
         Executor::Parallel { threads: 2 }.map_chunks(
             20_000,
             || (),
@@ -866,7 +882,15 @@ mod tests {
                 let g = range.start / grain;
                 owners.lock().unwrap()[g] = Some(std::thread::current().id());
                 if g == 0 {
+                    straggling.store(true, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(100));
+                } else if g >= first_block {
+                    // The other block waits for the straggler to start, so
+                    // a worker that wakes before the submitter cannot
+                    // drain it and steal grain 0 itself.
+                    while !straggling.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
                 }
             },
         );
@@ -887,6 +911,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_out_of_a_stolen_grain() {
+        let _serial = pool_test_lock();
         // Submitter blocks on grain 0 so the tail of its block — including
         // the poisoned grain — is overwhelmingly likely to be stolen; the
         // payload must surface from map_chunks either way.
@@ -918,6 +943,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn panic_propagates_out_of_a_static_split_worker() {
+        let _serial = pool_test_lock();
         Executor::StaticSplit { threads: 2 }.map_chunks(
             20_000,
             || (),
@@ -929,6 +955,7 @@ mod tests {
 
     #[test]
     fn nested_submission_runs_inline_without_deadlock() {
+        let _serial = pool_test_lock();
         let inner_total = AtomicUsize::new(0);
         let outer = Executor::Parallel { threads: 4 };
         outer.map_chunks(
@@ -952,6 +979,7 @@ mod tests {
 
     #[test]
     fn pool_thread_count_stays_within_cores() {
+        let _serial = pool_test_lock();
         // Force the pool into existence, then check the shared-pool cap.
         Executor::Parallel { threads: 64 }.for_each_slice(&mut vec![0u8; 20_000], |_, _| {});
         let spawned = pool_thread_count();
@@ -1027,6 +1055,7 @@ mod tests {
 
     #[test]
     fn deque_concurrent_owner_and_thieves_claim_each_item_once() {
+        let _serial = pool_test_lock();
         // Hammer the last-item CAS race from std threads (allowed here:
         // this *is* par.rs). Every grain must be claimed exactly once.
         for _ in 0..50 {

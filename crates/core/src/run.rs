@@ -6,14 +6,11 @@ use std::time::Instant;
 
 use proclus_telemetry::{NullRecorder, Recorder, Telemetry};
 
-use crate::baseline::run_baseline;
 use crate::cancel::CancelToken;
-use crate::config::{Algo, Backend, Config, RunOutput};
+use crate::config::{Backend, Config, RunOutput};
 use crate::dataset::DataMatrix;
+use crate::driver::{dispatch, CpuFactory};
 use crate::error::{ProclusError, Result};
-use crate::fast::run_fast;
-use crate::fast_star::run_fast_star;
-use crate::multi_param::{fast_proclus_multi_outcomes, proclus_multi_outcomes, ReuseLevel};
 use crate::par::Executor;
 use crate::result::Clustering;
 
@@ -101,7 +98,8 @@ pub fn run_with_cancel(
     let rec: &dyn Recorder = tel.as_ref().map_or(&null as &dyn Recorder, |t| t);
 
     let pool_before = crate::par::pool_stats();
-    let (clusterings, setting_errors) = run_cpu_with(data, config, rec, cancel)?;
+    let mut factory = CpuFactory::new(data, executor_for(config), config.algo);
+    let (clusterings, setting_errors) = dispatch(&mut factory, config, rec, cancel)?;
     record_pool_stats(rec, pool_before);
 
     Ok(RunOutput {
@@ -140,91 +138,6 @@ fn record_pool_stats(rec: &dyn Recorder, before: crate::par::PoolStats) {
     }
 }
 
-/// The successful clusterings of a (possibly grid) run plus its
-/// per-setting errors.
-#[doc(hidden)]
-pub type PartitionedOutcomes = (Vec<Clustering>, Vec<(usize, ProclusError)>);
-
-/// Splits per-setting outcomes into (successes in setting order, indexed
-/// errors).
-#[doc(hidden)]
-pub fn partition_outcomes(outcomes: Vec<Result<Clustering>>) -> PartitionedOutcomes {
-    let mut clusterings = Vec::with_capacity(outcomes.len());
-    let mut errors = Vec::new();
-    for (i, o) in outcomes.into_iter().enumerate() {
-        match o {
-            Ok(c) => clusterings.push(c),
-            Err(e) => errors.push((i, e)),
-        }
-    }
-    (clusterings, errors)
-}
-
-/// CPU dispatch against an externally owned recorder — shared with the
-/// `proclus-gpu` crate, whose `run` delegates CPU configs here while
-/// keeping its own telemetry collector (so GPU and CPU runs land in one
-/// report format). Returns the successful clusterings plus the per-setting
-/// errors of a grid run (always empty for single runs, whose failures are
-/// the outer `Err`).
-#[doc(hidden)]
-pub fn run_cpu_with(
-    data: &DataMatrix,
-    config: &Config,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<PartitionedOutcomes> {
-    let exec = executor_for(config);
-    match &config.grid {
-        None => {
-            let c = match config.algo {
-                Algo::Baseline => run_baseline(data, &config.params, &exec, rec, cancel)?,
-                Algo::Fast => run_fast(data, &config.params, &exec, rec, cancel)?,
-                Algo::FastStar => run_fast_star(data, &config.params, &exec, rec, cancel)?,
-            };
-            Ok((vec![c], Vec::new()))
-        }
-        Some(grid) => {
-            let cancels = vec![cancel.clone(); grid.settings.len()];
-            let outcomes = match config.algo {
-                Algo::Baseline => {
-                    if grid.reuse != ReuseLevel::Independent {
-                        return Err(ProclusError::unsupported(
-                            "the baseline cannot share computation across settings; \
-                             use ReuseLevel::Independent or Algo::Fast",
-                        ));
-                    }
-                    proclus_multi_outcomes(
-                        data,
-                        &config.params,
-                        &grid.settings,
-                        &exec,
-                        rec,
-                        &cancels,
-                    )
-                }
-                Algo::Fast => fast_proclus_multi_outcomes(
-                    data,
-                    &config.params,
-                    &grid.settings,
-                    grid.reuse,
-                    &exec,
-                    rec,
-                    &cancels,
-                ),
-                Algo::FastStar => {
-                    return Err(ProclusError::unsupported(
-                        "multi-parameter grids are defined for Algo::Fast (the \
-                         Dist/H cache is what settings share, §3.1) and \
-                         Algo::Baseline (independent runs); FAST* keeps no \
-                         cross-setting state",
-                    ))
-                }
-            };
-            Ok(partition_outcomes(outcomes))
-        }
-    }
-}
-
 /// Runs one (non-grid) configuration on an explicit [`Executor`] — the hook
 /// the cross-executor equivalence suite and `par_bench` use to pin
 /// [`Executor::StaticSplit`] and [`Executor::Parallel`] bit-for-bit against
@@ -232,20 +145,19 @@ pub fn run_cpu_with(
 /// the executor from `Config::threads`.
 #[doc(hidden)]
 pub fn run_single_on(data: &DataMatrix, config: &Config, exec: &Executor) -> Result<Clustering> {
-    let rec = NullRecorder;
-    let cancel = CancelToken::new();
-    match config.algo {
-        Algo::Baseline => run_baseline(data, &config.params, exec, &rec, &cancel),
-        Algo::Fast => run_fast(data, &config.params, exec, &rec, &cancel),
-        Algo::FastStar => run_fast_star(data, &config.params, exec, &rec, &cancel),
-    }
+    let mut factory = CpuFactory::new(data, *exec, config.algo);
+    let (clusterings, _) = dispatch(&mut factory, config, &NullRecorder, &CancelToken::new())?;
+    clusterings
+        .into_iter()
+        .next()
+        .ok_or_else(|| ProclusError::unsupported("a single run returned no clustering"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Grid;
-    use crate::multi_param::Setting;
+    use crate::config::{Algo, Grid};
+    use crate::multi_param::{ReuseLevel, Setting};
     use crate::params::Params;
     use proclus_telemetry::counters;
 
@@ -270,40 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_the_direct_variant_runners() {
+    fn run_matches_run_single_on_for_every_algo() {
         let data = blob_data(400);
-        let p = small_params();
-        type VariantRunner = dyn Fn(
-            &DataMatrix,
-            &Params,
-            &Executor,
-            &dyn proclus_telemetry::Recorder,
-            &CancelToken,
-        ) -> Result<Clustering>;
-        let direct = |f: &VariantRunner| {
-            f(
-                &data,
-                &p,
-                &Executor::Sequential,
-                &NullRecorder,
-                &CancelToken::new(),
-            )
-            .unwrap()
-        };
-        let via_run = run(&data, &Config::new(p.clone()).with_algo(Algo::Baseline)).unwrap();
-        assert_eq!(
-            via_run.clustering(),
-            &direct(&crate::baseline::run_baseline)
-        );
-
-        let fast_run = run(&data, &Config::new(p.clone())).unwrap();
-        assert_eq!(fast_run.clustering(), &direct(&crate::fast::run_fast));
-
-        let star_run = run(&data, &Config::new(p.clone()).with_algo(Algo::FastStar)).unwrap();
-        assert_eq!(
-            star_run.clustering(),
-            &direct(&crate::fast_star::run_fast_star)
-        );
+        for algo in [Algo::Baseline, Algo::Fast, Algo::FastStar] {
+            let config = Config::new(small_params()).with_algo(algo);
+            let via_run = run(&data, &config).unwrap();
+            let direct = run_single_on(&data, &config, &Executor::Sequential).unwrap();
+            assert_eq!(via_run.clustering(), &direct, "{algo:?}");
+        }
     }
 
     #[test]

@@ -53,6 +53,11 @@ pub struct Device {
     hazards_truncated: u64,
 }
 
+/// A watermark over a device's allocations, taken with
+/// [`Device::alloc_mark`] and rolled back with [`Device::free_since`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocMark(u64);
+
 /// Handle to a CUDA-style stream created with [`Device::create_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamId(usize);
@@ -282,6 +287,22 @@ impl Device {
     /// Live allocations, largest first.
     pub fn live_allocations(&self) -> Vec<crate::memory::Allocation> {
         self.pool.live_allocations()
+    }
+
+    /// A watermark over the allocations made so far.
+    pub fn alloc_mark(&self) -> AllocMark {
+        AllocMark(self.pool.next_id())
+    }
+
+    /// Frees every allocation made since `mark` that is still live,
+    /// charging the usual free latency for each — the rollback of a
+    /// multi-buffer setup that failed part-way.
+    pub fn free_since(&mut self, mark: AllocMark) -> Result<()> {
+        for id in self.pool.live_since(mark.0) {
+            self.pool.free(id)?;
+            self.elapsed_us += self.pool.alloc_cost_us();
+        }
+        Ok(())
     }
 
     // ---------------------------------------------------------------- launch
@@ -562,6 +583,22 @@ mod tests {
 
     fn dev() -> Device {
         Device::new(DeviceConfig::gtx_1660_ti())
+    }
+
+    #[test]
+    fn free_since_rolls_back_only_the_later_allocations() {
+        let mut d = dev();
+        let kept = d.alloc_zeroed::<f32>("kept", 10).unwrap();
+        let mark = d.alloc_mark();
+        let a = d.alloc_zeroed::<u32>("a", 20).unwrap();
+        d.alloc_zeroed::<f64>("b", 30).unwrap();
+        d.free(&a).unwrap();
+        d.free_since(mark).unwrap();
+        let live = d.live_allocations();
+        assert_eq!(live.len(), 1);
+        assert_eq!(live[0].label, "kept");
+        d.free(&kept).unwrap();
+        assert_eq!(d.mem_used(), 0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod trace;
 
 pub use buffer::DeviceBuffer;
 pub use config::DeviceConfig;
-pub use device::{Device, StreamId};
+pub use device::{AllocMark, Device, StreamId};
 pub use dim::Dim3;
 pub use error::{GpuError, Result};
 pub use kernel::{BlockCtx, Regs, ThreadCtx};

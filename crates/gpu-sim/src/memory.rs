@@ -112,6 +112,17 @@ impl MemoryPool {
         self.alloc_cost_us
     }
 
+    /// The id the next allocation will get: a watermark for
+    /// [`MemoryPool::live_since`].
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Ids of the live allocations made at or after watermark `mark`.
+    pub(crate) fn live_since(&self, mark: u64) -> Vec<u64> {
+        self.live.range(mark..).map(|(&id, _)| id).collect()
+    }
+
     /// Live allocations, largest first — useful when diagnosing an OOM.
     pub fn live_allocations(&self) -> Vec<Allocation> {
         let mut v: Vec<Allocation> = self.live.values().cloned().collect();

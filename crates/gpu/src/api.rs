@@ -1,153 +1,35 @@
 //! Public entry points for the GPU algorithms: the unified [`run`] /
-//! [`run_on`] pair consuming the CPU crate's `Config`, plus the deprecated
-//! per-variant shims.
+//! [`run_on`] pair consuming the CPU crate's `Config`, and [`factory_for`],
+//! the one place a `Config`'s backend picks a [`BackendFactory`].
 
 use std::time::Instant;
 
 use gpu_sim::{Device, DeviceConfig, DeviceReport};
-use proclus::backend::{initialization_phase, run_core};
-use proclus::multi_param::ReuseLevel;
-use proclus::params::Params;
-use proclus::result::Clustering;
-use proclus::{
-    Algo, Backend, CancelToken, Config, DataMatrix, ProclusError, ProclusRng, RunOutput,
-};
-use proclus_telemetry::{attrs, counters, span, NullRecorder, Recorder, Telemetry};
+use proclus::backend::{dispatch, BackendFactory, CpuFactory};
+use proclus::{Backend, CancelToken, Config, DataMatrix, RunOutput};
+use proclus_telemetry::{attrs, counters, NullRecorder, Recorder, Telemetry};
 
-use crate::backend::{GpuBackend, GpuVariant};
-use crate::error::{GpuProclusError, Result};
-use crate::kernels::ASSIGN_BLOCK;
-use crate::multi_param::{gpu_fast_proclus_multi_outcomes, gpu_proclus_multi_outcomes};
-use crate::rows::RowCache;
-use crate::workspace::Workspace;
+use crate::backend::GpuFactory;
+use crate::shard::ShardedFactory;
 
-pub(crate) fn validate_gpu(dev: &Device, data: &DataMatrix, params: &Params) -> Result<()> {
-    params.validate(data)?;
-    if params.k as u32 > ASSIGN_BLOCK {
-        return Err(GpuProclusError::Unsupported {
-            reason: format!(
-                "AssignPoints uses {ASSIGN_BLOCK}-thread blocks covering all k medoids; \
-                 k = {} exceeds that",
-                params.k
-            ),
-        });
-    }
-    let max_t = dev.config().max_threads_per_block as usize;
-    if data.d() > max_t {
-        return Err(GpuProclusError::Unsupported {
-            reason: format!(
-                "FindDimensions launches one thread per dimension; d = {} exceeds \
-                 the device's {max_t} threads/block",
-                data.d()
-            ),
-        });
-    }
-    Ok(())
-}
-
-pub(crate) fn run_variant(
-    dev: &mut Device,
-    data: &DataMatrix,
-    params: &Params,
-    variant: GpuVariant,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<Clustering> {
-    validate_gpu(dev, data, params)?;
-    cancel.check()?;
-    let run_span = span(rec, "run");
-    let run_t = dev.elapsed_us();
-    let n = data.n();
-    let sample_size = params.sample_size(n);
-    let m_size = params.num_potential_medoids(n);
-    let ws = Workspace::new(dev, data, params.k, sample_size, m_size)?;
-    let mut cache = match variant {
-        GpuVariant::Plain => RowCache::new_plain(dev, n, params.k)?,
-        GpuVariant::Fast => RowCache::new_fast(n, data.d(), params.k),
-        GpuVariant::FastStar => RowCache::new_fast_star(dev, n, data.d(), params.k)?,
-    };
-
-    let mut rng = ProclusRng::new(params.seed);
-    let result = {
-        let mut backend = GpuBackend::new(dev, &ws, &mut cache, variant);
-        initialization_phase(&mut backend, params, &mut rng, rec)
-            .and_then(|m_data| run_core(&mut backend, params, &mut rng, &m_data, None, rec, cancel))
-    };
-    // Free device memory whether or not the run succeeded.
-    cache.free(dev)?;
-    ws.free(dev)?;
-    rec.annotate(run_span.id(), attrs::SIM_US, dev.elapsed_us() - run_t);
-    result.map(|(c, _)| c).map_err(GpuProclusError::from)
-}
-
-pub(crate) fn variant_for(algo: Algo) -> GpuVariant {
-    match algo {
-        Algo::Baseline => GpuVariant::Plain,
-        Algo::Fast => GpuVariant::Fast,
-        Algo::FastStar => GpuVariant::FastStar,
-    }
-}
-
-fn run_gpu_with(
-    dev: &mut Device,
-    data: &DataMatrix,
+/// The backend factory `config` asks for: the host executor for
+/// [`Backend::Cpu`], single-device workspaces on `dev` for
+/// [`Backend::Gpu`], and shard ensembles cloned from `dev`'s configuration
+/// for [`Backend::Sharded`]. Hand it to [`proclus::run_grid`] or
+/// [`proclus::dispatch`].
+pub fn factory_for<'a>(
+    dev: &'a mut Device,
+    data: &'a DataMatrix,
     config: &Config,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<proclus::PartitionedOutcomes> {
-    match &config.grid {
-        None => {
-            let c = run_variant(
-                dev,
-                data,
-                &config.params,
-                variant_for(config.algo),
-                rec,
-                cancel,
-            )?;
-            Ok((vec![c], Vec::new()))
-        }
-        Some(grid) => {
-            let cancels = vec![cancel.clone(); grid.settings.len()];
-            let outcomes = match config.algo {
-                Algo::Baseline => {
-                    if grid.reuse != ReuseLevel::Independent {
-                        return Err(GpuProclusError::Unsupported {
-                            reason: "the baseline cannot share computation across settings; \
-                                     use ReuseLevel::Independent or Algo::Fast"
-                                .into(),
-                        });
-                    }
-                    gpu_proclus_multi_outcomes(
-                        dev,
-                        data,
-                        &config.params,
-                        &grid.settings,
-                        rec,
-                        &cancels,
-                    )?
-                }
-                Algo::Fast => gpu_fast_proclus_multi_outcomes(
-                    dev,
-                    data,
-                    &config.params,
-                    &grid.settings,
-                    grid.reuse,
-                    rec,
-                    &cancels,
-                )?,
-                Algo::FastStar => {
-                    return Err(GpuProclusError::Unsupported {
-                        reason: "multi-parameter grids are defined for Algo::Fast (the \
-                                 Dist/H cache is what settings share, §3.1) and \
-                                 Algo::Baseline (independent runs); FAST* keeps no \
-                                 cross-setting state"
-                            .into(),
-                    })
-                }
-            };
-            Ok(proclus::partition_outcomes(outcomes))
-        }
+) -> Box<dyn BackendFactory + 'a> {
+    match config.backend {
+        Backend::Cpu => Box::new(CpuFactory::new(
+            data,
+            proclus::executor_for(config),
+            config.algo,
+        )),
+        Backend::Gpu => Box::new(GpuFactory::new(dev, data, config.algo)),
+        Backend::Sharded => Box::new(ShardedFactory::new(dev, data, config.algo)),
     }
 }
 
@@ -218,11 +100,8 @@ pub fn run_on_with_cancel(
     let rec: &dyn Recorder = tel.as_ref().map_or(&null as &dyn Recorder, |t| t);
 
     let before = rec.enabled().then(|| dev.report());
-    let (clusterings, setting_errors) = match config.backend {
-        Backend::Cpu => unreachable!("delegated above"),
-        Backend::Gpu => run_gpu_with(dev, data, config, rec, cancel).map_err(ProclusError::from)?,
-        Backend::Sharded => crate::shard::run_sharded_with(dev, data, config, rec, cancel)?,
-    };
+    let (clusterings, setting_errors) =
+        dispatch(&mut *factory_for(dev, data, config), config, rec, cancel)?;
     if let Some(before) = &before {
         bridge_kernels(rec, before, &dev.report());
     }
@@ -249,69 +128,11 @@ pub fn run(data: &DataMatrix, config: &Config) -> proclus::Result<RunOutput> {
     run_on(&mut dev, data, config)
 }
 
-/// Runs GPU-PROCLUS (§4.1) on the simulated device. Produces the same
-/// clustering as the CPU baseline for the same seed.
-///
-/// Deprecated shim: use [`run_on`] with
-/// [`Algo::Baseline`](proclus::Algo::Baseline) and [`Backend::Gpu`].
-#[deprecated(since = "0.1.0", note = "use proclus_gpu::run_on with Algo::Baseline")]
-pub fn gpu_proclus(dev: &mut Device, data: &DataMatrix, params: &Params) -> Result<Clustering> {
-    run_variant(
-        dev,
-        data,
-        params,
-        GpuVariant::Plain,
-        &NullRecorder,
-        &CancelToken::new(),
-    )
-}
-
-/// Runs GPU-FAST-PROCLUS (§4.2): cached distance rows + incremental `H`.
-///
-/// Deprecated shim: use [`run_on`] with
-/// [`Algo::Fast`](proclus::Algo::Fast) and [`Backend::Gpu`].
-#[deprecated(since = "0.1.0", note = "use proclus_gpu::run_on with Algo::Fast")]
-pub fn gpu_fast_proclus(
-    dev: &mut Device,
-    data: &DataMatrix,
-    params: &Params,
-) -> Result<Clustering> {
-    run_variant(
-        dev,
-        data,
-        params,
-        GpuVariant::Fast,
-        &NullRecorder,
-        &CancelToken::new(),
-    )
-}
-
-/// Runs GPU-FAST*-PROCLUS (§3.2 + §4.2): the space-reduced variant.
-///
-/// Deprecated shim: use [`run_on`] with
-/// [`Algo::FastStar`](proclus::Algo::FastStar) and [`Backend::Gpu`].
-#[deprecated(since = "0.1.0", note = "use proclus_gpu::run_on with Algo::FastStar")]
-pub fn gpu_fast_star_proclus(
-    dev: &mut Device,
-    data: &DataMatrix,
-    params: &Params,
-) -> Result<Clustering> {
-    run_variant(
-        dev,
-        data,
-        params,
-        GpuVariant::FastStar,
-        &NullRecorder,
-        &CancelToken::new(),
-    )
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until removed
 mod tests {
     use super::*;
-    use proclus::multi_param::Setting;
-    use proclus::Grid;
+    use proclus::multi_param::{ReuseLevel, Setting};
+    use proclus::{Algo, Grid, Params, ProclusError};
 
     fn blob_data(n: usize) -> DataMatrix {
         let rows: Vec<Vec<f32>> = (0..n)
@@ -347,35 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_the_deprecated_entry_points() {
-        let data = blob_data(400);
-        let p = small_params();
-        let mut dev = det_device();
-
-        let via_run = run_on(
-            &mut det_device(),
-            &data,
-            &gpu_config().with_algo(Algo::Baseline),
-        )
-        .unwrap();
-        let via_shim = gpu_proclus(&mut dev, &data, &p).unwrap();
-        assert_eq!(via_run.clustering(), &via_shim);
-
-        let fast_run = run_on(&mut det_device(), &data, &gpu_config()).unwrap();
-        let fast_shim = gpu_fast_proclus(&mut dev, &data, &p).unwrap();
-        assert_eq!(fast_run.clustering(), &fast_shim);
-
-        let star_run = run_on(
-            &mut det_device(),
-            &data,
-            &gpu_config().with_algo(Algo::FastStar),
-        )
-        .unwrap();
-        let star_shim = gpu_fast_star_proclus(&mut dev, &data, &p).unwrap();
-        assert_eq!(star_run.clustering(), &star_shim);
-    }
-
-    #[test]
     fn telemetry_covers_every_phase_and_kernel_family() {
         let data = blob_data(400);
         let out = run(&data, &gpu_config().with_telemetry(true)).unwrap();
@@ -397,7 +189,7 @@ mod tests {
         }
         // Every kernel family the device launched is bridged into the tree.
         let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-        gpu_fast_proclus(&mut dev, &data, &small_params()).unwrap();
+        run_on(&mut dev, &data, &gpu_config()).unwrap();
         for name in dev.report().kernels.keys() {
             let bridged = format!("kernel:{name}");
             let s = report

@@ -12,11 +12,12 @@
 //! also performed on the GPU").
 
 use gpu_sim::Device;
-use proclus::backend::Backend;
+use proclus::backend::{Backend, BackendFactory};
 use proclus::phases::find_dimensions::pick_dimensions;
-use proclus::{ProclusError, ProclusRng, Result};
+use proclus::{Algo, DataMatrix, Params, ProclusError, ProclusRng, Result};
 use proclus_telemetry::{counters, Recorder};
 
+use crate::error::GpuProclusError;
 use crate::kernels::assign::{assign_kernel, assign_subset_kernel};
 use crate::kernels::delta::deltas_kernel;
 use crate::kernels::dist::dist_subset_kernel;
@@ -26,6 +27,7 @@ use crate::kernels::greedy::greedy_gpu;
 use crate::kernels::lsets::{build_lists_kernel, SphereCond};
 use crate::kernels::outliers::{outlier_deltas_kernel, remove_outliers_kernel};
 use crate::kernels::util::{copy_labels_kernel, lists_from_labels_kernel};
+use crate::kernels::ASSIGN_BLOCK;
 use crate::rows::RowCache;
 use crate::workspace::Workspace;
 
@@ -38,6 +40,101 @@ pub enum GpuVariant {
     Fast,
     /// GPU-FAST*-PROCLUS: slot-local caches (§3.2 on the GPU).
     FastStar,
+}
+
+impl From<Algo> for GpuVariant {
+    fn from(algo: Algo) -> Self {
+        match algo {
+            Algo::Baseline => GpuVariant::Plain,
+            Algo::Fast => GpuVariant::Fast,
+            Algo::FastStar => GpuVariant::FastStar,
+        }
+    }
+}
+
+/// Checks `params` against the data and the kernels' launch shapes.
+pub(crate) fn validate_gpu(
+    dev: &Device,
+    data: &DataMatrix,
+    params: &Params,
+) -> std::result::Result<(), GpuProclusError> {
+    params.validate(data)?;
+    if params.k as u32 > ASSIGN_BLOCK {
+        return Err(GpuProclusError::Unsupported {
+            reason: format!(
+                "AssignPoints uses {ASSIGN_BLOCK}-thread blocks covering all k medoids; \
+                 k = {} exceeds that",
+                params.k
+            ),
+        });
+    }
+    let max_t = dev.config().max_threads_per_block as usize;
+    if data.d() > max_t {
+        return Err(GpuProclusError::Unsupported {
+            reason: format!(
+                "FindDimensions launches one thread per dimension; d = {} exceeds \
+                 the device's {max_t} threads/block",
+                data.d()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Single-device backends on a borrowed [`Device`]: each open allocates a
+/// [`Workspace`] and the variant's [`RowCache`] up front (§4.1), each
+/// close frees both — also when the run failed or the cache could not be
+/// allocated.
+pub struct GpuFactory<'a> {
+    dev: &'a mut Device,
+    data: &'a DataMatrix,
+    variant: GpuVariant,
+}
+
+impl<'a> GpuFactory<'a> {
+    /// A factory running `algo` over `data` on `dev`.
+    pub fn new(dev: &'a mut Device, data: &'a DataMatrix, algo: Algo) -> Self {
+        Self {
+            dev,
+            data,
+            variant: algo.into(),
+        }
+    }
+}
+
+impl BackendFactory for GpuFactory<'_> {
+    fn validate(&self, params: &Params) -> Result<()> {
+        Ok(validate_gpu(self.dev, self.data, params)?)
+    }
+
+    fn clock_us(&self) -> Option<f64> {
+        Some(self.dev.elapsed_us())
+    }
+
+    fn with_backend(
+        &mut self,
+        sized_for: &Params,
+        f: &mut dyn FnMut(&mut dyn Backend),
+    ) -> Result<()> {
+        let (n, d, k) = (self.data.n(), self.data.d(), sized_for.k);
+        let (sample, m) = (sized_for.sample_size(n), sized_for.num_potential_medoids(n));
+        let ws = Workspace::new(self.dev, self.data, k, sample, m)?;
+        let mut cache = match RowCache::new(self.dev, self.variant, n, d, k) {
+            Ok(cache) => cache,
+            Err(e) => {
+                ws.free(self.dev)?;
+                return Err(e.into());
+            }
+        };
+        f(&mut GpuBackend::new(
+            self.dev,
+            &ws,
+            &mut cache,
+            self.variant,
+        ));
+        let freed = cache.free(self.dev);
+        Ok(ws.free(self.dev).and(freed)?)
+    }
 }
 
 /// Flattens subspaces for upload; returns the offsets (host side).
@@ -54,10 +151,9 @@ pub(crate) fn upload_dims(dev: &mut Device, ws: &Workspace, dims: &[Vec<usize>])
 
 /// One device, one workspace: the single-GPU execution backend.
 ///
-/// Borrows the device, workspace, and row cache so grid runners can keep
-/// them alive across settings (the persistent `Dist` cache of §3.1) while
-/// each setting drives its own backend value through the shared driver.
-/// The subspace offsets of the latest [`Backend::find_dims`] call are kept
+/// Borrows the device, workspace, and row cache, which its owner — the
+/// [`GpuFactory`], or the streaming driver — allocates and frees. The
+/// subspace offsets of the latest [`Backend::find_dims`] call are kept
 /// here between phases — the flattened dims live in device memory.
 pub struct GpuBackend<'a> {
     dev: &'a mut Device,

@@ -60,20 +60,11 @@ mod api;
 pub mod backend;
 pub mod error;
 pub mod kernels;
-pub mod multi_param;
 pub mod rows;
 pub mod shard;
 pub mod workspace;
 
-#[allow(deprecated)]
-pub use api::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
-pub use api::{run, run_on, run_on_with_cancel};
-pub use backend::{GpuBackend, GpuVariant};
+pub use api::{factory_for, run, run_on, run_on_with_cancel};
+pub use backend::{GpuBackend, GpuFactory, GpuVariant};
 pub use error::{GpuProclusError, Result};
-pub use multi_param::{
-    gpu_fast_proclus_multi, gpu_fast_proclus_multi_outcomes, gpu_proclus_multi,
-    gpu_proclus_multi_outcomes,
-};
-pub use shard::{
-    sharded_fast_proclus_multi_outcomes, sharded_proclus_multi_outcomes, ShardedBackend,
-};
+pub use shard::{ShardedBackend, ShardedFactory};

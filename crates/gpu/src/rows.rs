@@ -21,6 +21,7 @@ use std::collections::HashMap;
 
 use gpu_sim::{Device, DeviceBuffer};
 
+use crate::backend::GpuVariant;
 use crate::error::Result;
 use crate::kernels::dist::dist_row_kernel;
 
@@ -72,20 +73,21 @@ impl RowArena {
         let within = idx % self.rows_per_slab;
         if within == 0 {
             let slab_no = self.slabs.len();
-            self.slabs.push(Slab {
-                dist: dev
-                    .alloc_zeroed(&format!("dist_slab_{slab_no}"), self.rows_per_slab * self.n)?,
-                h: if self.with_h {
-                    Some(
-                        dev.alloc_zeroed(
-                            &format!("h_slab_{slab_no}"),
-                            self.rows_per_slab * self.d,
-                        )?,
-                    )
-                } else {
-                    None
-                },
-            });
+            let dist =
+                dev.alloc_zeroed(&format!("dist_slab_{slab_no}"), self.rows_per_slab * self.n)?;
+            let h = if self.with_h {
+                let label = format!("h_slab_{slab_no}");
+                match dev.alloc_zeroed(&label, self.rows_per_slab * self.d) {
+                    Ok(h) => Some(h),
+                    Err(e) => {
+                        dev.free(&dist)?;
+                        return Err(e.into());
+                    }
+                }
+            } else {
+                None
+            };
+            self.slabs.push(Slab { dist, h });
         }
         let slab = self.slabs.last().expect("just ensured");
         self.rows.push(MedoidRow {
@@ -132,6 +134,21 @@ pub enum RowCache {
 }
 
 impl RowCache {
+    /// The storage policy `variant` runs with, `k` rows per slab.
+    pub(crate) fn new(
+        dev: &mut Device,
+        variant: GpuVariant,
+        n: usize,
+        d: usize,
+        k: usize,
+    ) -> Result<Self> {
+        match variant {
+            GpuVariant::Plain => Self::new_plain(dev, n, k),
+            GpuVariant::Fast => Ok(Self::new_fast(n, d, k)),
+            GpuVariant::FastStar => Self::new_fast_star(dev, n, d, k),
+        }
+    }
+
     /// Pre-allocates the plain variant's `k` rows (one slab).
     pub fn new_plain(dev: &mut Device, n: usize, k: usize) -> Result<Self> {
         let mut arena = RowArena::new(n, 0, k, false);
@@ -338,5 +355,13 @@ mod tests {
         assert_eq!(cache.rows()[0].prev_delta, 0.7);
         assert_eq!(cache.rows()[1].prev_delta, -1.0);
         cache.free(&mut dev).unwrap();
+    }
+
+    #[test]
+    fn a_slab_whose_h_rows_do_not_fit_frees_its_dist_rows() {
+        // k = 2 rows of n = 50 distances (400 B) fit; their 32 B of H do not.
+        let mut dev = Device::new(DeviceConfig::gtx_1660_ti().with_memory_limit(410));
+        assert!(RowCache::new_fast_star(&mut dev, 50, 2, 2).is_err());
+        assert!(dev.live_allocations().is_empty());
     }
 }

@@ -32,19 +32,16 @@
 use std::collections::HashMap;
 
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, GpuError};
-use proclus::backend::{grid_core_shared, initialization_phase, run_core, run_full, Backend};
-use proclus::multi_param::{ReuseLevel, Setting};
+use proclus::backend::{Backend, BackendFactory};
 use proclus::params::Params;
 use proclus::phases::compute_l::medoid_deltas;
 use proclus::phases::find_dimensions::find_dimensions;
 use proclus::phases::initialization::greedy_select;
-use proclus::result::Clustering;
-use proclus::{CancelToken, Config, DataMatrix, ProclusError, ProclusRng};
-use proclus_telemetry::{attrs, counters, span, Recorder};
+use proclus::{Algo, CancelToken, DataMatrix, ProclusError, ProclusRng};
+use proclus_telemetry::{attrs, counters, Recorder};
 
-use crate::api::{validate_gpu, variant_for};
-use crate::backend::GpuVariant;
-use crate::error::{GpuProclusError, Result};
+use crate::backend::{validate_gpu, GpuVariant};
+use crate::error::Result;
 use crate::kernels::assign::{assign_kernel, assign_subset_kernel};
 use crate::kernels::dist::dist_subset_kernel;
 use crate::kernels::evaluate::{centroid_partial_kernel, cost_partial_kernel};
@@ -52,7 +49,6 @@ use crate::kernels::find_dims::{h_update_kernel, x_from_h_kernel, x_from_lists_p
 use crate::kernels::lsets::{build_lists_kernel, SphereCond};
 use crate::kernels::outliers::{outlier_deltas_kernel, remove_outliers_kernel};
 use crate::kernels::util::{copy_labels_kernel, lists_from_labels_kernel};
-use crate::multi_param::{cancel_for, derive};
 use crate::rows::RowCache;
 
 /// Modeled one-hop interconnect latency for a phase-barrier reduction, µs.
@@ -137,9 +133,11 @@ pub struct ShardedBackend<'a> {
     x: Vec<f64>,
     /// Subspace offsets of the latest FindDimensions step.
     offsets: Vec<usize>,
-    /// The ensemble clock: max-per-shard phase deltas + reduction costs.
+    /// The ensemble clock: the slowest shard's setup, then max-per-shard
+    /// phase deltas + reduction costs.
     sim_us: f64,
-    /// Polled between per-shard steps so a cancel lands mid-phase.
+    /// The current setting's token, polled between per-shard steps so a
+    /// cancel lands mid-phase.
     cancel: CancelToken,
 }
 
@@ -149,6 +147,8 @@ impl<'a> ShardedBackend<'a> {
     /// of a grid); `annex_cap` sizes the medoid annex (the sample size —
     /// every greedy pick comes from the sample). Empty shards (`devices >
     /// n`) are dropped, so degenerate device counts degrade gracefully.
+    /// The shards allocate and upload in parallel, so the ensemble clock
+    /// starts at the slowest shard's setup.
     pub fn new(
         cfg: &DeviceConfig,
         data: &'a DataMatrix,
@@ -156,7 +156,6 @@ impl<'a> ShardedBackend<'a> {
         k_cap: usize,
         annex_cap: usize,
         variant: GpuVariant,
-        cancel: CancelToken,
     ) -> Result<Self> {
         let (n, d) = (data.n(), data.d());
         let d_count = devices.max(1);
@@ -176,11 +175,7 @@ impl<'a> ShardedBackend<'a> {
                 &data_buf.slice(0, n_local * d),
                 &data.flat()[start * d..(start + n_local) * d],
             );
-            let cache = match variant {
-                GpuVariant::Plain => RowCache::new_plain(&mut dev, n_local, k_cap)?,
-                GpuVariant::Fast => RowCache::new_fast(n_local, d, k_cap),
-                GpuVariant::FastStar => RowCache::new_fast_star(&mut dev, n_local, d, k_cap)?,
-            };
+            let cache = RowCache::new(&mut dev, variant, n_local, d, k_cap)?;
             let shard = Shard {
                 n_local,
                 data: data_buf,
@@ -204,6 +199,10 @@ impl<'a> ShardedBackend<'a> {
             shards.push(shard);
             start += n_local;
         }
+        let setup_us = shards
+            .iter()
+            .map(|s| s.dev.elapsed_us())
+            .fold(0.0, f64::max);
         Ok(Self {
             data,
             shards,
@@ -213,8 +212,8 @@ impl<'a> ShardedBackend<'a> {
             next_annex: 0,
             x: Vec::new(),
             offsets: Vec::new(),
-            sim_us: 0.0,
-            cancel,
+            sim_us: setup_us,
+            cancel: CancelToken::default(),
         })
     }
 
@@ -336,6 +335,10 @@ impl Backend for ShardedBackend<'_> {
 
     fn clock_us(&self) -> Option<f64> {
         Some(self.sim_us)
+    }
+
+    fn set_cancel(&mut self, cancel: &CancelToken) {
+        self.cancel = cancel.clone();
     }
 
     fn greedy(
@@ -950,250 +953,52 @@ impl Backend for ShardedBackend<'_> {
     }
 }
 
-/// Single sharded run: validate, build the ensemble, drive the shared
-/// full-run driver, free. The `dev` argument supplies the device
-/// configuration template (each shard gets a fresh deterministic clone)
-/// and the kernel-shape validation limits.
-pub(crate) fn run_sharded_variant(
-    dev: &mut Device,
-    data: &DataMatrix,
-    params: &Params,
+/// Sharded ensembles of [`Params::devices`] fresh devices cloned from
+/// `dev`'s configuration (which also sets the kernel-shape limits). Each
+/// close credits the ensemble clock — shard upload included — to `dev`,
+/// so `dev.elapsed_ms()` stays meaningful whichever backend ran.
+pub struct ShardedFactory<'a> {
+    dev: &'a mut Device,
+    data: &'a DataMatrix,
     variant: GpuVariant,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<Clustering> {
-    validate_gpu(dev, data, params)?;
-    let n = data.n();
-    let mut backend = ShardedBackend::new(
-        dev.config(),
-        data,
-        params.devices.get(),
-        params.k,
-        params.sample_size(n),
-        variant,
-        cancel.clone(),
-    )?;
-    let result = run_full(&mut backend, params, rec, cancel);
-    dev.advance_clock_us(backend.sim_us);
-    backend.free()?;
-    result.map_err(GpuProclusError::from)
 }
 
-/// Sharded mirror of `gpu_fast_proclus_multi_outcomes`: FAST over a grid
-/// of settings at any reuse level, every setting executing across
-/// [`proclus::Params::devices`] shards. Shared levels keep one ensemble
-/// (persistent per-shard `Dist`/`H` caches) across settings.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_fast_proclus_multi_outcomes(
-    dev: &mut Device,
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    level: ReuseLevel,
-    rec: &dyn Recorder,
-    cancels: &[CancelToken],
-) -> Result<Vec<proclus::Result<Clustering>>> {
-    debug_assert!(cancels.is_empty() || cancels.len() == settings.len());
-    let validity: Vec<proclus::Result<()>> = settings
-        .iter()
-        .map(|&s| validate_gpu(dev, data, &derive(base, s)).map_err(ProclusError::from))
-        .collect();
-    let n = data.n();
-    let d_count = base.devices.get();
-    let mut rng = ProclusRng::new(base.seed);
-    let mut results: Vec<proclus::Result<Clustering>> = Vec::with_capacity(settings.len());
-
-    if level == ReuseLevel::Independent {
-        for (i, &s) in settings.iter().enumerate() {
-            let run_span = span(rec, "run");
-            if let Err(e) = &validity[i] {
-                results.push(Err(e.clone()));
-                continue;
-            }
-            let cancel = cancel_for(cancels, i);
-            if let Err(e) = cancel.check() {
-                results.push(Err(e));
-                continue;
-            }
-            let params = derive(base, s);
-            let mut backend = ShardedBackend::new(
-                dev.config(),
-                data,
-                d_count,
-                params.k,
-                params.sample_size(n),
-                GpuVariant::Fast,
-                cancel.clone(),
-            )?;
-            let t0 = backend.sim_us;
-            let r = initialization_phase(&mut backend, &params, &mut rng, rec).and_then(|m_data| {
-                run_core(&mut backend, &params, &mut rng, &m_data, None, rec, &cancel)
-            });
-            let t1 = backend.sim_us;
-            dev.advance_clock_us(t1 - t0);
-            backend.free()?;
-            rec.annotate(run_span.id(), attrs::SIM_US, t1 - t0);
-            results.push(r.map(|(c, _)| c));
-        }
-        return Ok(results);
-    }
-
-    let k_max = settings
-        .iter()
-        .zip(&validity)
-        .filter(|(_, v)| v.is_ok())
-        .map(|(s, _)| s.k)
-        .max();
-    let Some(k_max) = k_max else {
-        for v in &validity {
-            let _run = span(rec, "run");
-            results.push(Err(v.as_ref().unwrap_err().clone()));
-        }
-        return Ok(results);
-    };
-    let sample_size = (base.a * k_max).min(n);
-    let mut backend = ShardedBackend::new(
-        dev.config(),
-        data,
-        d_count,
-        k_max,
-        sample_size,
-        GpuVariant::Fast,
-        cancel_for(cancels, 0),
-    )?;
-    let results = grid_core_shared(
-        &mut backend,
-        base,
-        settings,
-        level,
-        &validity,
-        &mut rng,
-        rec,
-        cancels,
-    );
-    dev.advance_clock_us(backend.sim_us);
-    backend.free()?;
-    Ok(results)
-}
-
-/// Sharded mirror of `gpu_proclus_multi_outcomes`: the plain baseline per
-/// setting, each run across the configured shard count.
-pub fn sharded_proclus_multi_outcomes(
-    dev: &mut Device,
-    data: &DataMatrix,
-    base: &Params,
-    settings: &[Setting],
-    rec: &dyn Recorder,
-    cancels: &[CancelToken],
-) -> Result<Vec<proclus::Result<Clustering>>> {
-    debug_assert!(cancels.is_empty() || cancels.len() == settings.len());
-    let validity: Vec<proclus::Result<()>> = settings
-        .iter()
-        .map(|&s| validate_gpu(dev, data, &derive(base, s)).map_err(ProclusError::from))
-        .collect();
-    let n = data.n();
-    let d_count = base.devices.get();
-    let mut rng = ProclusRng::new(base.seed);
-    let mut results: Vec<proclus::Result<Clustering>> = Vec::with_capacity(settings.len());
-    for (i, &s) in settings.iter().enumerate() {
-        let run_span = span(rec, "run");
-        if let Err(e) = &validity[i] {
-            results.push(Err(e.clone()));
-            continue;
-        }
-        let cancel = cancel_for(cancels, i);
-        if let Err(e) = cancel.check() {
-            results.push(Err(e));
-            continue;
-        }
-        let params = derive(base, s);
-        let mut backend = ShardedBackend::new(
-            dev.config(),
+impl<'a> ShardedFactory<'a> {
+    /// A factory running `algo` over `data`, sharded per the params'
+    /// device count.
+    pub fn new(dev: &'a mut Device, data: &'a DataMatrix, algo: Algo) -> Self {
+        Self {
+            dev,
             data,
-            d_count,
-            params.k,
-            params.sample_size(n),
-            GpuVariant::Plain,
-            cancel.clone(),
-        )?;
-        let t0 = backend.sim_us;
-        let r = initialization_phase(&mut backend, &params, &mut rng, rec).and_then(|m_data| {
-            run_core(&mut backend, &params, &mut rng, &m_data, None, rec, &cancel)
-        });
-        let t1 = backend.sim_us;
-        dev.advance_clock_us(t1 - t0);
-        backend.free()?;
-        rec.annotate(run_span.id(), attrs::SIM_US, t1 - t0);
-        results.push(r.map(|(c, _)| c));
+            variant: algo.into(),
+        }
     }
-    Ok(results)
 }
 
-/// The sharded arm of `run_on`: dispatches single runs and grids the same
-/// way the single-GPU arm does (baseline grids are independent-only; FAST*
-/// keeps no cross-setting state, so its grids stay unsupported).
-pub(crate) fn run_sharded_with(
-    dev: &mut Device,
-    data: &DataMatrix,
-    config: &Config,
-    rec: &dyn Recorder,
-    cancel: &CancelToken,
-) -> proclus::Result<proclus::PartitionedOutcomes> {
-    match &config.grid {
-        None => {
-            let c = run_sharded_variant(
-                dev,
-                data,
-                &config.params,
-                variant_for(config.algo),
-                rec,
-                cancel,
-            )
-            .map_err(ProclusError::from)?;
-            Ok((vec![c], Vec::new()))
-        }
-        Some(grid) => {
-            let cancels = vec![cancel.clone(); grid.settings.len()];
-            let outcomes = match config.algo {
-                proclus::Algo::Baseline => {
-                    if grid.reuse != ReuseLevel::Independent {
-                        return Err(ProclusError::Unsupported {
-                            reason: "the baseline cannot share computation across settings; \
-                                     use ReuseLevel::Independent or Algo::Fast"
-                                .into(),
-                        });
-                    }
-                    sharded_proclus_multi_outcomes(
-                        dev,
-                        data,
-                        &config.params,
-                        &grid.settings,
-                        rec,
-                        &cancels,
-                    )
-                    .map_err(ProclusError::from)?
-                }
-                proclus::Algo::Fast => sharded_fast_proclus_multi_outcomes(
-                    dev,
-                    data,
-                    &config.params,
-                    &grid.settings,
-                    grid.reuse,
-                    rec,
-                    &cancels,
-                )
-                .map_err(ProclusError::from)?,
-                proclus::Algo::FastStar => {
-                    return Err(ProclusError::Unsupported {
-                        reason: "multi-parameter grids are defined for Algo::Fast (the \
-                                 Dist/H cache is what settings share, §3.1) and \
-                                 Algo::Baseline (independent runs); FAST* keeps no \
-                                 cross-setting state"
-                            .into(),
-                    })
-                }
-            };
-            Ok(proclus::partition_outcomes(outcomes))
-        }
+impl BackendFactory for ShardedFactory<'_> {
+    fn validate(&self, params: &Params) -> proclus::Result<()> {
+        Ok(validate_gpu(self.dev, self.data, params)?)
+    }
+
+    fn clock_us(&self) -> Option<f64> {
+        Some(self.dev.elapsed_us())
+    }
+
+    fn with_backend(
+        &mut self,
+        sized_for: &Params,
+        f: &mut dyn FnMut(&mut dyn Backend),
+    ) -> proclus::Result<()> {
+        let mut backend = ShardedBackend::new(
+            self.dev.config(),
+            self.data,
+            sized_for.devices.get(),
+            sized_for.k,
+            sized_for.sample_size(self.data.n()),
+            self.variant,
+        )?;
+        f(&mut backend);
+        self.dev.advance_clock_us(backend.sim_us);
+        Ok(backend.free()?)
     }
 }

@@ -62,7 +62,8 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Allocates the workspace and uploads the dataset.
+    /// Allocates the workspace and uploads the dataset. A failed
+    /// allocation frees the buffers already made before returning.
     pub fn new(
         dev: &mut Device,
         data: &DataMatrix,
@@ -70,8 +71,23 @@ impl Workspace {
         sample_size: usize,
         m_size: usize,
     ) -> Result<Self> {
+        let mark = dev.alloc_mark();
+        let ws = Self::alloc(dev, data, k, sample_size, m_size);
+        if ws.is_err() {
+            dev.free_since(mark)?;
+        }
+        ws
+    }
+
+    fn alloc(
+        dev: &mut Device,
+        data: &DataMatrix,
+        k: usize,
+        sample_size: usize,
+        m_size: usize,
+    ) -> Result<Self> {
         let (n, d) = (data.n(), data.d());
-        let ws = Self {
+        Ok(Self {
             n,
             d,
             k,
@@ -93,8 +109,7 @@ impl Workspace {
             greedy_max: dev.alloc_zeroed("greedy_max", 1)?,
             greedy_claim: dev.alloc_zeroed("greedy_claim", 1)?,
             m_list: dev.alloc_zeroed("m_list", m_size)?,
-        };
-        Ok(ws)
+        })
     }
 
     /// Frees every buffer back to the device pool.
@@ -146,5 +161,16 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::tiny_test_device());
         let big = DataMatrix::from_flat(vec![0.0; 50_000 * 8], 50_000, 8).unwrap();
         assert!(Workspace::new(&mut dev, &big, 10, 1000, 100).is_err());
+    }
+
+    #[test]
+    fn a_failed_allocation_frees_the_buffers_already_made() {
+        // 20000 × 2 points: the data and δ buffers fit in 1 MB, the k × n
+        // point lists do not.
+        let data = DataMatrix::from_flat(vec![0.5; 20_000 * 2], 20_000, 2).unwrap();
+        let mut dev = Device::new(DeviceConfig::gtx_1660_ti().with_memory_limit(1_000_000));
+        assert!(Workspace::new(&mut dev, &data, 100, 1000, 100).is_err());
+        assert!(dev.live_allocations().is_empty());
+        assert_eq!(dev.mem_used(), 0);
     }
 }

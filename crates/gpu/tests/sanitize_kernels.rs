@@ -4,10 +4,8 @@
 //! read in the shipped kernels fails these tests.
 
 // The per-variant entry points stay under test until they are removed.
-#![allow(deprecated)]
-
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, SanitizerMode};
-use proclus::{DataMatrix, Params, ProclusRng};
+use proclus::{Algo, Clustering, Config, DataMatrix, Params, ProclusRng};
 use proclus_gpu::kernels::assign::assign_kernel;
 use proclus_gpu::kernels::delta::deltas_kernel;
 use proclus_gpu::kernels::dist::dist_row_kernel;
@@ -20,7 +18,20 @@ use proclus_gpu::kernels::lsets::{build_lists_kernel, SphereCond};
 use proclus_gpu::kernels::outliers::{outlier_deltas_kernel, remove_outliers_kernel};
 use proclus_gpu::rows::MedoidRow;
 use proclus_gpu::workspace::Workspace;
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
+
+/// One run of `algo` on the simulated `dev`.
+fn gpu(
+    dev: &mut Device,
+    data: &DataMatrix,
+    params: &Params,
+    algo: Algo,
+) -> proclus::Result<Clustering> {
+    let config = Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(proclus::Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .map(|o| o.clusterings.into_iter().next().expect("one clustering"))
+}
 
 fn device() -> Device {
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
@@ -303,7 +314,7 @@ fn assert_kernels_ran(dev: &mut Device, expect: &[&str]) {
 fn gpu_proclus_pipeline_is_race_clean() {
     let (data, params) = pipeline_data();
     let mut dev = device();
-    let clustering = gpu_proclus(&mut dev, &data, &params).unwrap();
+    let clustering = gpu(&mut dev, &data, &params, Algo::Baseline).unwrap();
     assert_eq!(clustering.k(), 2);
     assert!(dev.hazards().is_empty());
     assert_kernels_ran(
@@ -328,7 +339,7 @@ fn gpu_proclus_pipeline_is_race_clean() {
 fn gpu_fast_proclus_pipeline_is_race_clean() {
     let (data, params) = pipeline_data();
     let mut dev = device();
-    let clustering = gpu_fast_proclus(&mut dev, &data, &params).unwrap();
+    let clustering = gpu(&mut dev, &data, &params, Algo::Fast).unwrap();
     assert_eq!(clustering.k(), 2);
     assert!(dev.hazards().is_empty());
     assert_kernels_ran(
@@ -349,7 +360,7 @@ fn gpu_fast_proclus_pipeline_is_race_clean() {
 fn gpu_fast_star_proclus_pipeline_is_race_clean() {
     let (data, params) = pipeline_data();
     let mut dev = device();
-    let clustering = gpu_fast_star_proclus(&mut dev, &data, &params).unwrap();
+    let clustering = gpu(&mut dev, &data, &params, Algo::FastStar).unwrap();
     assert_eq!(clustering.k(), 2);
     assert!(dev.hazards().is_empty());
 }
@@ -362,6 +373,6 @@ fn fast_pipeline_is_race_clean_under_parallel_blocks() {
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
     dev.set_deterministic(false);
     dev.set_sanitizer(SanitizerMode::Abort);
-    gpu_fast_proclus(&mut dev, &data, &params).unwrap();
+    gpu(&mut dev, &data, &params, Algo::Fast).unwrap();
     assert!(dev.hazards().is_empty());
 }

@@ -9,9 +9,9 @@
 //! it (same dataset, same backend, [`Algo::Fast`], parameters equal except
 //! `(k, l)`), up to [`ServeConfig::max_batch`]. The batch executes as one
 //! grid run ordered largest-`k` first — the order for which the shared
-//! greedy pass (|M| = B·k_max) and warm-started medoids are valid — via the
-//! skip-and-report `*_multi_outcomes` entry points, with one cancel token
-//! per job. Baseline and FAST* jobs always run solo.
+//! greedy pass (|M| = B·k_max) and warm-started medoids are valid — through
+//! the skip-and-report [`proclus::run_grid`] over the backend's factory,
+//! with one cancel token per job. Baseline and FAST* jobs always run solo.
 //!
 //! ## Robustness
 //!
@@ -37,7 +37,7 @@ use gpu_sim::{Device, DeviceConfig};
 use proclus::multi_param::{ReuseLevel, Setting};
 use proclus::par::Executor;
 use proclus::telemetry::{NullRecorder, Recorder, SpanNode, Telemetry, TelemetryReport};
-use proclus::{Algo, Backend, CancelToken, Config, DataMatrix, ProclusError};
+use proclus::{Algo, CancelToken, Config, DataMatrix};
 
 use crate::job::{JobHandle, JobId, JobOutput, JobRequest, JobResult, JobShared, ServeError};
 use crate::metrics::ServiceMetrics;
@@ -451,7 +451,7 @@ fn run_batch(inner: &ServerInner, device: &mut Option<Device>, live: &[Queued]) 
     if live.len() == 1 {
         vec![run_solo(inner, device, &live[0], &data)]
     } else {
-        run_grid(inner, device, live, &data)
+        run_coalesced(inner, device, live, &data)
     }
 }
 
@@ -490,13 +490,7 @@ fn run_solo(
         .with_backend(q.spec.backend)
         .with_telemetry(inner.cfg.telemetry)
         .with_threads(job_executor(&inner.cfg).threads());
-    let out = match q.spec.backend {
-        Backend::Cpu => proclus::run_with_cancel(data, &config, &q.shared.cancel),
-        Backend::Gpu | Backend::Sharded => {
-            proclus_gpu::run_on_with_cancel(gpu_device(device), data, &config, &q.shared.cancel)
-        }
-    };
-    match out {
+    match proclus_gpu::run_on_with_cancel(gpu_device(device), data, &config, &q.shared.cancel) {
         Ok(o) => {
             let Some(clustering) = o.clusterings.into_iter().next() else {
                 return Err(ServeError::Internal {
@@ -519,7 +513,7 @@ fn run_solo(
     }
 }
 
-fn run_grid(
+fn run_coalesced(
     inner: &ServerInner,
     device: &mut Option<Device>,
     live: &[Queued],
@@ -529,7 +523,10 @@ fn run_grid(
     // (|M| = B·k_max) and warm-started medoid subsets are valid.
     let mut order: Vec<usize> = (0..live.len()).collect();
     order.sort_by(|&a, &b| live[b].spec.params.k.cmp(&live[a].spec.params.k));
-    let base = live[order[0]].spec.params.clone();
+    let config = Config::new(live[order[0]].spec.params.clone())
+        .with_algo(live[0].spec.algo)
+        .with_backend(live[0].spec.backend)
+        .with_threads(job_executor(&inner.cfg).threads());
     let settings: Vec<Setting> = order
         .iter()
         .map(|&i| Setting::new(live[i].spec.params.k, live[i].spec.params.l))
@@ -543,54 +540,15 @@ fn run_grid(
     let null = NullRecorder;
     let rec: &dyn Recorder = tel.as_ref().map_or(&null as &dyn Recorder, |t| t);
 
-    let outcomes: Vec<Result<proclus::Clustering, ProclusError>> = match live[0].spec.backend {
-        Backend::Cpu => {
-            let exec = job_executor(&inner.cfg);
-            proclus::fast_proclus_multi_outcomes(
-                data,
-                &base,
-                &settings,
-                inner.cfg.reuse,
-                &exec,
-                rec,
-                &cancels,
-            )
-        }
-        Backend::Gpu => {
-            match proclus_gpu::gpu_fast_proclus_multi_outcomes(
-                gpu_device(device),
-                data,
-                &base,
-                &settings,
-                inner.cfg.reuse,
-                rec,
-                &cancels,
-            ) {
-                Ok(o) => o,
-                Err(e) => {
-                    let e = ServeError::Algorithm(ProclusError::from(e));
-                    return live.iter().map(|_| Err(e.clone())).collect();
-                }
-            }
-        }
-        Backend::Sharded => {
-            match proclus_gpu::sharded_fast_proclus_multi_outcomes(
-                gpu_device(device),
-                data,
-                &base,
-                &settings,
-                inner.cfg.reuse,
-                rec,
-                &cancels,
-            ) {
-                Ok(o) => o,
-                Err(e) => {
-                    let e = ServeError::Algorithm(ProclusError::from(e));
-                    return live.iter().map(|_| Err(e.clone())).collect();
-                }
-            }
-        }
-    };
+    let mut factory = proclus_gpu::factory_for(gpu_device(device), data, &config);
+    let outcomes = proclus::run_grid(
+        &mut *factory,
+        &config.params,
+        &settings,
+        inner.cfg.reuse,
+        rec,
+        &cancels,
+    );
 
     let report = tel.map(Telemetry::finish);
     let mut results: Vec<Option<JobResult>> = (0..live.len()).map(|_| None).collect();
@@ -676,7 +634,7 @@ fn per_job_report(batch: &TelemetryReport, j: usize) -> TelemetryReport {
 mod tests {
     use super::*;
     use crate::registry::DatasetRef;
-    use proclus::Params;
+    use proclus::{Backend, Params};
 
     fn data() -> DataMatrix {
         let rows: Vec<Vec<f32>> = (0..200)

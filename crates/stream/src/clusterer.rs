@@ -181,10 +181,11 @@ fn with_backend<R>(
                 params.k,
                 params.sample_size(snap.n()),
                 GpuVariant::Fast,
-                cancel.clone(),
             )?;
+            b.set_cancel(cancel);
+            let t0 = b.clock_us();
             let out = f(&mut b);
-            let sim = b.clock_us();
+            let sim = b.clock_us().zip(t0).map(|(t1, t0)| t1 - t0);
             let freed = b.free();
             let out = out?;
             freed?;

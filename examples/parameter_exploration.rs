@@ -11,7 +11,14 @@
 //! ```
 
 use gpu_fast_proclus::prelude::*;
-use proclus::par::Executor;
+
+/// Runs every setting of `grid` at `level` on the CPU.
+fn sweep(data: &DataMatrix, base: &Params, grid: &[Setting], level: ReuseLevel) -> Vec<Clustering> {
+    let config = Config::new(base.clone()).with_grid(Grid::new(grid.to_vec(), level));
+    let out = run(data, &config).expect("valid grid");
+    assert!(out.setting_errors.is_empty(), "{:?}", out.setting_errors);
+    out.clusterings
+}
 
 fn main() {
     // Data with a known answer: 5 clusters in 4-d subspaces of 12-d space.
@@ -27,7 +34,6 @@ fn main() {
 
     let base = Params::new(5, 4).with_seed(3);
     let grid: Vec<Setting> = (2..=8).map(|k| Setting::new(k, 4)).collect();
-    let exec = Executor::Sequential;
 
     println!("sweeping k = 2..=8 at l = 4 over {} points\n", data.n());
     println!(
@@ -36,8 +42,7 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let results =
-        fast_proclus_multi(&data, &base, &grid, ReuseLevel::WarmStart, &exec).expect("valid grid");
+    let results = sweep(&data, &base, &grid, ReuseLevel::WarmStart);
     let elapsed = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut best = (0usize, f64::INFINITY);
@@ -72,7 +77,7 @@ fn main() {
         ReuseLevel::SharedCache,
         ReuseLevel::SharedGreedy,
     ] {
-        let r = fast_proclus_multi(&data, &base, &grid, level, &exec).expect("valid grid");
+        let r = sweep(&data, &base, &grid, level);
         assert_eq!(r.len(), grid.len());
         for (s, c) in grid.iter().zip(&r) {
             c.validate_structure(data.n(), data.d(), 4)

@@ -8,8 +8,6 @@
 //! cargo run --release --example sky_survey -- 2       # sky 2x2 cut
 //! ```
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use gpu_fast_proclus::prelude::*;
 
 fn main() {
@@ -31,8 +29,12 @@ fn main() {
 
     let run = |label: &str, level: ReuseLevel| {
         let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-        let results =
-            gpu_fast_proclus_multi(&mut dev, &data, &base, &grid, level).expect("fits on device");
+        let config = Config::new(base.clone())
+            .with_backend(Backend::Gpu)
+            .with_grid(Grid::new(grid.clone(), level));
+        let out = run_on(&mut dev, &data, &config).expect("valid grid");
+        assert!(out.setting_errors.is_empty(), "fits on device");
+        let results = out.clusterings;
         let per_setting = dev.elapsed_ms() / grid.len() as f64;
         // Pick the best setting by refined cost (what an analyst would do).
         let best = results

@@ -45,10 +45,8 @@ pub mod prelude {
     pub use datagen::{self, SyntheticConfig};
     pub use gpu_sim::{Device, DeviceConfig};
     pub use proclus::{
-        fast_proclus_multi, run, Algo, Backend, Clustering, Config, DataMatrix, Grid, Params,
-        ReuseLevel, RunOutput, Setting, OUTLIER,
+        run, run_grid, Algo, Backend, BackendFactory, Clustering, Config, CpuFactory, DataMatrix,
+        Grid, Params, ReuseLevel, RunOutput, Setting, OUTLIER,
     };
-    #[allow(deprecated)]
-    pub use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
-    pub use proclus_gpu::{gpu_fast_proclus_multi, run_on};
+    pub use proclus_gpu::{factory_for, run_on, GpuFactory, ShardedFactory};
 }

@@ -4,16 +4,21 @@
 //! * A pre-cancelled token makes `run_with_cancel` / `run_on_with_cancel`
 //!   return [`ProclusError::Cancelled`] for every algorithm × backend, so
 //!   there is no uncancellable path left.
-//! * `run` produces bit-identical output to `run_with_cancel` with a fresh
-//!   token (same `Backend`-trait driver underneath), and the remaining GPU
-//!   shims stay aliases of the unified entry points — no forked drivers.
-//! * In a grid run, cancelling one setting fails that setting only.
+//! * `run` / `run_on` produce bit-identical output to `run_with_cancel` /
+//!   `run_on_with_cancel` with a fresh token (same `Backend`-trait driver
+//!   underneath) — no forked drivers.
+//! * In a grid run, cancelling one setting fails that setting only, on
+//!   every backend and at every reuse level.
 
-#![allow(deprecated)] // exercises the legacy GPU entry points deliberately
+use std::num::NonZeroUsize;
 
 use gpu_sim::{Device, DeviceConfig};
-use proclus::{Algo, CancelToken, Config, DataMatrix, Params, ProclusError, ReuseLevel, Setting};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
+use proclus::telemetry::NullRecorder;
+use proclus::{
+    run_grid, Algo, BackendFactory, CancelToken, Config, CpuFactory, DataMatrix, Params,
+    ProclusError, ReuseLevel, Setting,
+};
+use proclus_gpu::{GpuFactory, ShardedFactory};
 
 fn blob_data(n: usize) -> DataMatrix {
     let rows: Vec<Vec<f32>> = (0..n)
@@ -85,29 +90,36 @@ fn run_and_run_with_cancel_share_one_driver() {
 }
 
 #[test]
-fn gpu_shims_are_aliases_of_the_unified_driver() {
+fn gpu_run_on_and_run_on_with_cancel_share_one_driver() {
     let data = blob_data(400);
-    let p = params();
-    type GpuShim =
-        fn(&mut Device, &DataMatrix, &Params) -> proclus_gpu::Result<proclus::Clustering>;
-    let cases: [(Algo, GpuShim); 3] = [
-        (Algo::Baseline, gpu_proclus),
-        (Algo::Fast, gpu_fast_proclus),
-        (Algo::FastStar, gpu_fast_star_proclus),
-    ];
-    for (algo, shim) in cases {
-        let config = Config::new(p.clone())
+    for algo in [Algo::Baseline, Algo::Fast, Algo::FastStar] {
+        let config = Config::new(params())
             .with_algo(algo)
             .with_backend(proclus::Backend::Gpu);
-        let unified =
+        let plain = proclus_gpu::run_on(&mut dev(), &data, &config).unwrap();
+        let with_token =
             proclus_gpu::run_on_with_cancel(&mut dev(), &data, &config, &CancelToken::new())
                 .unwrap();
-        assert_eq!(
-            unified.clustering(),
-            &shim(&mut dev(), &data, &p).unwrap(),
-            "{algo:?}"
-        );
+        assert_eq!(plain.clustering(), with_token.clustering(), "{algo:?}");
     }
+}
+
+const LEVELS: [ReuseLevel; 4] = [
+    ReuseLevel::Independent,
+    ReuseLevel::SharedCache,
+    ReuseLevel::SharedGreedy,
+    ReuseLevel::WarmStart,
+];
+
+/// A FAST grid with per-setting tokens through `factory`.
+fn fast_grid(
+    factory: &mut dyn BackendFactory,
+    settings: &[Setting],
+    level: ReuseLevel,
+    cancels: &[CancelToken],
+) -> Vec<proclus::Result<proclus::Clustering>> {
+    let base = params().with_devices(NonZeroUsize::new(2).unwrap());
+    run_grid(factory, &base, settings, level, &NullRecorder, cancels)
 }
 
 #[test]
@@ -116,19 +128,45 @@ fn cancelling_one_grid_setting_spares_the_others() {
     let settings = vec![Setting::new(4, 2), Setting::new(3, 2), Setting::new(2, 2)];
     let cancels = vec![CancelToken::new(), CancelToken::new(), CancelToken::new()];
     cancels[1].cancel();
-    let outcomes = proclus::fast_proclus_multi_outcomes(
-        &data,
-        &params(),
-        &settings,
-        ReuseLevel::SharedGreedy,
-        &proclus::par::Executor::Sequential,
-        &proclus_telemetry::NullRecorder,
-        &cancels,
-    );
+    let mut cpu = CpuFactory::new(&data, proclus::par::Executor::Sequential, Algo::Fast);
+    let outcomes = fast_grid(&mut cpu, &settings, ReuseLevel::SharedGreedy, &cancels);
     assert!(outcomes[0].is_ok());
     assert!(matches!(
         outcomes[1].as_ref().unwrap_err(),
         ProclusError::Cancelled { .. }
     ));
     assert!(outcomes[2].is_ok());
+}
+
+#[test]
+fn a_cancelled_first_setting_spares_the_rest_on_every_backend() {
+    // Each setting's own token reaches the backend: a cancelled first
+    // setting must not leak into the later ones (the sharded backend polls
+    // its token between per-shard steps).
+    let data = blob_data(400);
+    let settings = vec![Setting::new(4, 2), Setting::new(3, 2), Setting::new(2, 2)];
+    let cancels = vec![CancelToken::new(), CancelToken::new(), CancelToken::new()];
+    cancels[0].cancel();
+    for level in LEVELS {
+        let mut cpu = CpuFactory::new(&data, proclus::par::Executor::Sequential, Algo::Fast);
+        let mut gpu_dev = dev();
+        let mut sharded_dev = dev();
+        let mut gpu = GpuFactory::new(&mut gpu_dev, &data, Algo::Fast);
+        let mut sharded = ShardedFactory::new(&mut sharded_dev, &data, Algo::Fast);
+        let backends: [(&str, &mut dyn BackendFactory); 3] = [
+            ("cpu", &mut cpu),
+            ("gpu", &mut gpu),
+            ("sharded", &mut sharded),
+        ];
+        for (name, factory) in backends {
+            let outcomes = fast_grid(factory, &settings, level, &cancels);
+            assert!(
+                matches!(outcomes[0], Err(ProclusError::Cancelled { .. })),
+                "{name} {level:?}: {:?}",
+                outcomes[0]
+            );
+            assert!(outcomes[1].is_ok(), "{name} {level:?}: {:?}", outcomes[1]);
+            assert!(outcomes[2].is_ok(), "{name} {level:?}: {:?}", outcomes[2]);
+        }
+    }
 }

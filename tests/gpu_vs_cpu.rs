@@ -3,12 +3,23 @@
 //! claim, §5.1: "GPU-PROCLUS and all the algorithmic strategies produce the
 //! same clustering as PROCLUS").
 
-#![allow(deprecated)] // exercises the legacy GPU entry points deliberately
-
 use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proclus::{run, Algo, Clustering, Config, DataMatrix, Params};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
+
+/// One run of `algo` on the simulated `dev`.
+fn gpu(
+    dev: &mut Device,
+    data: &DataMatrix,
+    params: &Params,
+    algo: Algo,
+) -> proclus::Result<Clustering> {
+    let config = Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(proclus::Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .map(|o| o.clusterings.into_iter().next().expect("one clustering"))
+}
 
 fn cpu(data: &DataMatrix, params: &Params, algo: Algo) -> proclus::Result<Clustering> {
     let config = Config::new(params.clone()).with_algo(algo);
@@ -74,7 +85,7 @@ fn gpu_proclus_equals_cpu_proclus() {
     let data = dataset();
     for seed in [1u64, 7] {
         let cpu = proclus(&data, &params(seed)).unwrap();
-        let gpu = gpu_proclus(&mut device(), &data, &params(seed)).unwrap();
+        let gpu = gpu(&mut device(), &data, &params(seed), Algo::Baseline).unwrap();
         assert_same(&cpu, &gpu, &format!("plain seed {seed}"));
     }
 }
@@ -83,7 +94,7 @@ fn gpu_proclus_equals_cpu_proclus() {
 fn gpu_fast_equals_cpu_fast() {
     let data = dataset();
     let cpu = fast_proclus(&data, &params(3)).unwrap();
-    let gpu = gpu_fast_proclus(&mut device(), &data, &params(3)).unwrap();
+    let gpu = gpu(&mut device(), &data, &params(3), Algo::Fast).unwrap();
     assert_same(&cpu, &gpu, "fast");
 }
 
@@ -91,7 +102,7 @@ fn gpu_fast_equals_cpu_fast() {
 fn gpu_fast_star_equals_cpu_fast_star() {
     let data = dataset();
     let cpu = fast_star_proclus(&data, &params(5)).unwrap();
-    let gpu = gpu_fast_star_proclus(&mut device(), &data, &params(5)).unwrap();
+    let gpu = gpu(&mut device(), &data, &params(5), Algo::FastStar).unwrap();
     assert_same(&cpu, &gpu, "fast_star");
 }
 
@@ -103,9 +114,9 @@ fn all_six_variants_agree_for_one_seed() {
     let all = [
         fast_proclus(&data, &p).unwrap(),
         fast_star_proclus(&data, &p).unwrap(),
-        gpu_proclus(&mut device(), &data, &p).unwrap(),
-        gpu_fast_proclus(&mut device(), &data, &p).unwrap(),
-        gpu_fast_star_proclus(&mut device(), &data, &p).unwrap(),
+        gpu(&mut device(), &data, &p, Algo::Baseline).unwrap(),
+        gpu(&mut device(), &data, &p, Algo::Fast).unwrap(),
+        gpu(&mut device(), &data, &p, Algo::FastStar).unwrap(),
     ];
     for (i, c) in all.iter().enumerate() {
         assert_same(&reference, c, &format!("variant {i}"));
@@ -116,7 +127,7 @@ fn all_six_variants_agree_for_one_seed() {
 fn gpu_run_reports_device_activity() {
     let data = dataset();
     let mut dev = device();
-    let _ = gpu_fast_proclus(&mut dev, &data, &params(2)).unwrap();
+    let _ = gpu(&mut dev, &data, &params(2), Algo::Fast).unwrap();
     let rep = dev.report();
     assert!(rep.launches > 10, "expected many kernel launches");
     assert!(rep.elapsed_us > 0.0);

@@ -4,12 +4,23 @@
 //! `equivalence.rs` / `gpu_vs_cpu.rs` — its job is to catch divergence in
 //! corners nobody thought to write a targeted test for.
 
-#![allow(deprecated)] // exercises the legacy GPU entry points deliberately
-
 use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proclus::{run, Algo, Clustering, DataMatrix, Params};
-use proclus_gpu::{gpu_fast_proclus, gpu_fast_star_proclus, gpu_proclus};
+
+/// One run of `algo` on the simulated `dev`.
+fn gpu(
+    dev: &mut Device,
+    data: &DataMatrix,
+    params: &Params,
+    algo: Algo,
+) -> proclus::Result<Clustering> {
+    let config = proclus::Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(proclus::Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .map(|o| o.clusterings.into_iter().next().expect("one clustering"))
+}
 
 fn cpu(data: &DataMatrix, params: &Params, algo: Algo) -> proclus::Result<Clustering> {
     let config = proclus::Config::new(params.clone()).with_algo(algo);
@@ -110,17 +121,17 @@ fn all_variants_agree_across_the_configuration_matrix() {
         dev.set_deterministic(true);
         assert_same(
             &reference,
-            &gpu_proclus(&mut dev, &cfg.data, &cfg.params).unwrap(),
+            &gpu(&mut dev, &cfg.data, &cfg.params, Algo::Baseline).unwrap(),
             &format!("{} gpu", cfg.tag),
         );
         assert_same(
             &reference,
-            &gpu_fast_proclus(&mut dev, &cfg.data, &cfg.params).unwrap(),
+            &gpu(&mut dev, &cfg.data, &cfg.params, Algo::Fast).unwrap(),
             &format!("{} gpu-fast", cfg.tag),
         );
         assert_same(
             &reference,
-            &gpu_fast_star_proclus(&mut dev, &cfg.data, &cfg.params).unwrap(),
+            &gpu(&mut dev, &cfg.data, &cfg.params, Algo::FastStar).unwrap(),
             &format!("{} gpu-fast*", cfg.tag),
         );
         assert_eq!(dev.mem_used(), 0, "{}: device memory leaked", cfg.tag);
@@ -134,7 +145,7 @@ fn matrix_holds_on_both_device_presets() {
     for device_cfg in [DeviceConfig::gtx_1660_ti(), DeviceConfig::rtx_3090()] {
         let mut dev = Device::new(device_cfg);
         dev.set_deterministic(true);
-        let got = gpu_fast_proclus(&mut dev, &cfg.data, &cfg.params).unwrap();
+        let got = gpu(&mut dev, &cfg.data, &cfg.params, Algo::Fast).unwrap();
         assert_same(&reference, &got, &dev.config().name.clone());
     }
 }

@@ -2,13 +2,25 @@
 //! for every setting, on CPU and GPU, and the GPU multi runner agrees with
 //! the CPU one seed-for-seed at each level.
 
-#![allow(deprecated)] // exercises the legacy entry points deliberately
-
 use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proclus::multi_param::{ReuseLevel, Setting};
-use proclus::{default_grid, fast_proclus_multi, proclus_multi, DataMatrix, Params};
-use proclus_gpu::{gpu_fast_proclus_multi, gpu_proclus_multi};
+use proclus::telemetry::NullRecorder;
+use proclus::{default_grid, run_grid, Algo, BackendFactory, Clustering, CpuFactory};
+use proclus::{DataMatrix, Params};
+use proclus_gpu::GpuFactory;
+
+/// Runs a grid through `factory`; any failed setting fails the call.
+fn grid_on(
+    factory: &mut dyn BackendFactory,
+    base: &Params,
+    settings: &[Setting],
+    level: ReuseLevel,
+) -> proclus::Result<Vec<Clustering>> {
+    run_grid(factory, base, settings, level, &NullRecorder, &[])
+        .into_iter()
+        .collect()
+}
 
 fn dataset() -> DataMatrix {
     let mut g = generate(&SyntheticConfig {
@@ -50,7 +62,13 @@ fn cpu_levels_all_valid() {
     let data = dataset();
     let exec = proclus::par::Executor::Sequential;
     for level in LEVELS {
-        let results = fast_proclus_multi(&data, &base(), &grid(), level, &exec).unwrap();
+        let results = grid_on(
+            &mut CpuFactory::new(&data, exec, Algo::Fast),
+            &base(),
+            &grid(),
+            level,
+        )
+        .unwrap();
         assert_eq!(results.len(), 4);
         for (s, r) in grid().iter().zip(&results) {
             assert_eq!(r.k(), s.k, "{level:?}");
@@ -65,10 +83,22 @@ fn gpu_levels_match_cpu_levels() {
     let data = dataset();
     let exec = proclus::par::Executor::Sequential;
     for level in LEVELS {
-        let cpu = fast_proclus_multi(&data, &base(), &grid(), level, &exec).unwrap();
+        let cpu = grid_on(
+            &mut CpuFactory::new(&data, exec, Algo::Fast),
+            &base(),
+            &grid(),
+            level,
+        )
+        .unwrap();
         let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
         dev.set_deterministic(true);
-        let gpu = gpu_fast_proclus_multi(&mut dev, &data, &base(), &grid(), level).unwrap();
+        let gpu = grid_on(
+            &mut GpuFactory::new(&mut dev, &data, Algo::Fast),
+            &base(),
+            &grid(),
+            level,
+        )
+        .unwrap();
         for (i, (c, g)) in cpu.iter().zip(&gpu).enumerate() {
             assert_eq!(c.medoids, g.medoids, "{level:?} setting {i}: medoids");
             assert_eq!(c.labels, g.labels, "{level:?} setting {i}: labels");
@@ -84,10 +114,22 @@ fn gpu_levels_match_cpu_levels() {
 fn gpu_plain_multi_matches_cpu_plain_multi() {
     let data = dataset();
     let exec = proclus::par::Executor::Sequential;
-    let cpu = proclus_multi(&data, &base(), &grid(), &exec).unwrap();
+    let cpu = grid_on(
+        &mut CpuFactory::new(&data, exec, Algo::Baseline),
+        &base(),
+        &grid(),
+        ReuseLevel::Independent,
+    )
+    .unwrap();
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
     dev.set_deterministic(true);
-    let gpu = gpu_proclus_multi(&mut dev, &data, &base(), &grid()).unwrap();
+    let gpu = grid_on(
+        &mut GpuFactory::new(&mut dev, &data, Algo::Baseline),
+        &base(),
+        &grid(),
+        ReuseLevel::Independent,
+    )
+    .unwrap();
     for (i, (c, g)) in cpu.iter().zip(&gpu).enumerate() {
         assert_eq!(c.medoids, g.medoids, "setting {i}");
         assert_eq!(c.labels, g.labels, "setting {i}");
@@ -102,7 +144,13 @@ fn reuse_reduces_device_distance_work() {
     let data = dataset();
     let work = |level: ReuseLevel| {
         let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-        gpu_fast_proclus_multi(&mut dev, &data, &base(), &grid(), level).unwrap();
+        grid_on(
+            &mut GpuFactory::new(&mut dev, &data, Algo::Fast),
+            &base(),
+            &grid(),
+            level,
+        )
+        .unwrap();
         dev.report()
             .kernels
             .get("compute_l.dist")
@@ -125,11 +173,16 @@ fn warm_start_converges_no_slower_on_average() {
     let data = dataset();
     let exec = proclus::par::Executor::Sequential;
     let iters = |level: ReuseLevel| -> usize {
-        fast_proclus_multi(&data, &base(), &grid(), level, &exec)
-            .unwrap()
-            .iter()
-            .map(|c| c.iterations)
-            .sum()
+        grid_on(
+            &mut CpuFactory::new(&data, exec, Algo::Fast),
+            &base(),
+            &grid(),
+            level,
+        )
+        .unwrap()
+        .iter()
+        .map(|c| c.iterations)
+        .sum()
     };
     let independent = iters(ReuseLevel::Independent);
     let warm = iters(ReuseLevel::WarmStart);
@@ -145,12 +198,11 @@ fn default_grid_runs_end_to_end() {
     let exec = proclus::par::Executor::Sequential;
     let grid = default_grid(5, 3);
     assert_eq!(grid.len(), 9);
-    let results = fast_proclus_multi(
-        &data,
+    let results = grid_on(
+        &mut CpuFactory::new(&data, exec, Algo::Fast),
         &Params::new(5, 3).with_a(15).with_b(3).with_seed(1),
         &grid,
         ReuseLevel::WarmStart,
-        &exec,
     )
     .unwrap();
     assert_eq!(results.len(), 9);
@@ -167,9 +219,21 @@ fn first_setting_of_largest_k_first_grid_matches_solo_run() {
     let settings = vec![Setting::new(5, 3), Setting::new(4, 4), Setting::new(3, 2)];
     let solo = proclus::run(&data, &proclus::Config::new(base())).unwrap();
     for level in LEVELS {
-        let single = fast_proclus_multi(&data, &base(), &settings[..1], level, &exec).unwrap();
+        let single = grid_on(
+            &mut CpuFactory::new(&data, exec, Algo::Fast),
+            &base(),
+            &settings[..1],
+            level,
+        )
+        .unwrap();
         assert_eq!(&single[0], solo.clustering(), "{level:?}: width-1 grid");
-        let multi = fast_proclus_multi(&data, &base(), &settings, level, &exec).unwrap();
+        let multi = grid_on(
+            &mut CpuFactory::new(&data, exec, Algo::Fast),
+            &base(),
+            &settings,
+            level,
+        )
+        .unwrap();
         assert_eq!(&multi[0], solo.clustering(), "{level:?}: first setting");
     }
 }

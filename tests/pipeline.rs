@@ -2,15 +2,26 @@
 //! CSV roundtrip, plus the device-facing failure modes a user will hit
 //! (OOM, unsupported configurations) and simulator reporting guarantees.
 
-#![allow(deprecated)] // exercises the legacy GPU entry points deliberately
-
 use std::path::PathBuf;
 
 use datagen::io::{load_csv, write_csv};
 use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
-use proclus::{run, Clustering, Config, DataMatrix, Params};
-use proclus_gpu::{gpu_fast_proclus, GpuProclusError};
+use proclus::{run, Algo, Clustering, Config, DataMatrix, Params, ProclusError};
+
+/// One run of `algo` on the simulated `dev`.
+fn gpu(
+    dev: &mut Device,
+    data: &DataMatrix,
+    params: &Params,
+    algo: Algo,
+) -> proclus::Result<Clustering> {
+    let config = Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(proclus::Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .map(|o| o.clusterings.into_iter().next().expect("one clustering"))
+}
 
 fn fast_proclus(data: &DataMatrix, params: &Params) -> proclus::Result<Clustering> {
     run(data, &Config::new(params.clone()))
@@ -67,9 +78,9 @@ fn realworld_standins_cluster_end_to_end() {
 fn gpu_oom_is_a_clean_error_not_a_panic() {
     let g = generate(&SyntheticConfig::new(20_000, 10).with_seed(1));
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti().with_memory_limit(1_000_000));
-    let err = gpu_fast_proclus(&mut dev, &g.data, &Params::new(5, 3)).unwrap_err();
+    let err = gpu(&mut dev, &g.data, &Params::new(5, 3), Algo::Fast).unwrap_err();
     match err {
-        GpuProclusError::Device(gpu_sim::GpuError::OutOfMemory { .. }) => {}
+        ProclusError::Device { reason } if reason.contains("out of memory") => {}
         other => panic!("expected OOM, got {other}"),
     }
 }
@@ -83,8 +94,13 @@ fn unsupported_gpu_configs_are_rejected_up_front() {
     );
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
     // k > 128 exceeds the AssignPoints block.
-    let err = gpu_fast_proclus(&mut dev, &g.data, &Params::new(200, 3).with_a(5).with_b(2));
-    assert!(matches!(err, Err(GpuProclusError::Unsupported { .. })));
+    let err = gpu(
+        &mut dev,
+        &g.data,
+        &Params::new(200, 3).with_a(5).with_b(2),
+        Algo::Fast,
+    );
+    assert!(matches!(err, Err(ProclusError::Unsupported { .. })));
 }
 
 #[test]
@@ -93,9 +109,9 @@ fn device_time_is_reset_per_fresh_device_and_accumulates_within() {
     g.data.minmax_normalize();
     let params = Params::new(3, 3).with_a(20).with_b(4).with_seed(1);
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-    gpu_fast_proclus(&mut dev, &g.data, &params).unwrap();
+    gpu(&mut dev, &g.data, &params, Algo::Fast).unwrap();
     let t1 = dev.elapsed_us();
-    gpu_fast_proclus(&mut dev, &g.data, &params).unwrap();
+    gpu(&mut dev, &g.data, &params, Algo::Fast).unwrap();
     let t2 = dev.elapsed_us();
     assert!(t2 > t1, "clock accumulates across runs on one device");
     assert!(
@@ -111,7 +127,7 @@ fn bigger_device_is_never_slower_in_the_model() {
     let params = Params::new(10, 5).with_seed(6);
     let time_on = |cfg: DeviceConfig| {
         let mut dev = Device::new(cfg);
-        gpu_fast_proclus(&mut dev, &g.data, &params).unwrap();
+        gpu(&mut dev, &g.data, &params, Algo::Fast).unwrap();
         dev.elapsed_us()
     };
     let small = time_on(DeviceConfig::gtx_1660_ti());

@@ -234,8 +234,21 @@ proclus_verify::props! {
 //    level and setting.
 
 use gpu_sim::{Device, DeviceConfig};
-use proclus::{fast_proclus_multi, Config, ReuseLevel, Setting};
-use proclus_gpu::gpu_fast_proclus_multi;
+use proclus::telemetry::NullRecorder;
+use proclus::{run_grid, BackendFactory, Config, CpuFactory, ReuseLevel, Setting};
+use proclus_gpu::GpuFactory;
+
+/// Runs a FAST grid through `factory`; any failed setting fails the call.
+fn fast_grid(
+    factory: &mut dyn BackendFactory,
+    base: &Params,
+    settings: &[Setting],
+    level: ReuseLevel,
+) -> proclus::Result<Vec<Clustering>> {
+    run_grid(factory, base, settings, level, &NullRecorder, &[])
+        .into_iter()
+        .collect()
+}
 
 /// Arbitrary data plus a largest-k-first grid with matching base params.
 fn reuse_case(g: &mut Gen) -> (DataMatrix, Params, Vec<Setting>) {
@@ -280,15 +293,15 @@ proclus_verify::props! {
         ] {
             // (1) width-1 grid == solo run, bit for bit.
             let single =
-                fast_proclus_multi(&data, &base, &settings[..1], level, &exec).unwrap();
+                fast_grid(&mut CpuFactory::new(&data, exec, Algo::Fast), &base, &settings[..1], level).unwrap();
             assert_eq!(&single[0], solo);
 
             // (2) first setting of the full grid == solo run.
-            let multi = match fast_proclus_multi(&data, &base, &settings, level, &exec) {
+            let multi = match fast_grid(&mut CpuFactory::new(&data, exec, Algo::Fast), &base, &settings, level) {
                 Ok(m) => m,
                 // A later setting may be invalid against this data
-                // (e.g. k*a exceeds n); the strict API then aborts, which
-                // is out of scope for this property.
+                // (e.g. k*a exceeds n); the grid then fails, which is out
+                // of scope for this property.
                 Err(_) => continue,
             };
             assert_eq!(&multi[0], solo);
@@ -297,7 +310,7 @@ proclus_verify::props! {
             let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
             dev.set_deterministic(true);
             let gpu =
-                gpu_fast_proclus_multi(&mut dev, &data, &base, &settings, level).unwrap();
+                fast_grid(&mut GpuFactory::new(&mut dev, &data, Algo::Fast), &base, &settings, level).unwrap();
             assert_eq!(multi.len(), gpu.len());
             for (c, g) in multi.iter().zip(&gpu) {
                 assert_eq!(&c.medoids, &g.medoids);

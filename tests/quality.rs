@@ -4,14 +4,25 @@
 //! clear projected structure — i.e. the implementation earns the "still
 //! competitive" claim PROCLUS carries (§1).
 
-#![allow(deprecated)] // exercises the legacy GPU entry points deliberately
-
 use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proclus::metrics::{adjusted_rand_index, normalized_mutual_information, purity};
 use proclus::metrics_subspace::{ce, clusters_from_labels, rnia, SubspaceCluster};
-use proclus::{run, Clustering, Config, DataMatrix, Params, OUTLIER};
-use proclus_gpu::gpu_fast_proclus;
+use proclus::{run, Algo, Clustering, Config, DataMatrix, Params, OUTLIER};
+
+/// One run of `algo` on the simulated `dev`.
+fn gpu(
+    dev: &mut Device,
+    data: &DataMatrix,
+    params: &Params,
+    algo: Algo,
+) -> proclus::Result<Clustering> {
+    let config = Config::new(params.clone())
+        .with_algo(algo)
+        .with_backend(proclus::Backend::Gpu);
+    proclus_gpu::run_on(dev, data, &config)
+        .map(|o| o.clusterings.into_iter().next().expect("one clustering"))
+}
 
 fn fast_proclus(data: &DataMatrix, params: &Params) -> proclus::Result<Clustering> {
     run(data, &Config::new(params.clone()))
@@ -84,7 +95,7 @@ fn gpu_variant_has_identical_quality() {
     let cpu = fast_proclus(&g.data, &params).unwrap();
     let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
     dev.set_deterministic(true);
-    let gpu = gpu_fast_proclus(&mut dev, &g.data, &params).unwrap();
+    let gpu = gpu(&mut dev, &g.data, &params, Algo::Fast).unwrap();
     assert_eq!(
         adjusted_rand_index(&g.labels, &cpu.labels),
         adjusted_rand_index(&g.labels, &gpu.labels)

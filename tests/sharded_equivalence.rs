@@ -13,7 +13,8 @@ use datagen::synthetic::{generate, SyntheticConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proclus::multi_param::{ReuseLevel, Setting};
 use proclus::par::Executor;
-use proclus::{Algo, Backend, Clustering, Config, DataMatrix, Params};
+use proclus::{run_grid, Algo, Backend, Clustering, Config, CpuFactory, DataMatrix, Params};
+use proclus_gpu::{GpuFactory, ShardedFactory};
 use proclus_telemetry::NullRecorder;
 use proclus_verify::prop::Gen;
 
@@ -113,28 +114,25 @@ fn sharded_grids_match_cpu_and_gpu_at_every_reuse_level() {
         ReuseLevel::SharedGreedy,
         ReuseLevel::WarmStart,
     ] {
-        let cpu: Vec<Clustering> = proclus::fast_proclus_multi_outcomes(
-            &data,
+        let cpu: Vec<Clustering> = run_grid(
+            &mut CpuFactory::new(&data, Executor::Sequential, Algo::Fast),
             &base,
             &settings,
             level,
-            &Executor::Sequential,
             &NullRecorder,
             &[],
         )
         .into_iter()
         .map(|r| r.unwrap())
         .collect();
-        let gpu: Vec<Clustering> = proclus_gpu::gpu_fast_proclus_multi_outcomes(
-            &mut device(),
-            &data,
+        let gpu: Vec<Clustering> = run_grid(
+            &mut GpuFactory::new(&mut device(), &data, Algo::Fast),
             &base,
             &settings,
             level,
             &NullRecorder,
             &[],
         )
-        .unwrap()
         .into_iter()
         .map(|r| r.unwrap())
         .collect();
@@ -143,16 +141,14 @@ fn sharded_grids_match_cpu_and_gpu_at_every_reuse_level() {
         }
         for d in [1usize, 2, 4] {
             let sharded_base = with_devices(&base, d);
-            let sharded: Vec<Clustering> = proclus_gpu::sharded_fast_proclus_multi_outcomes(
-                &mut device(),
-                &data,
+            let sharded: Vec<Clustering> = run_grid(
+                &mut ShardedFactory::new(&mut device(), &data, Algo::Fast),
                 &sharded_base,
                 &settings,
                 level,
                 &NullRecorder,
                 &[],
             )
-            .unwrap()
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -168,28 +164,26 @@ fn sharded_baseline_grid_matches_the_gpu_baseline_grid() {
     let data = dataset();
     let base = params(5);
     let settings = vec![Setting::new(3, 3), Setting::new(2, 4)];
-    let gpu: Vec<Clustering> = proclus_gpu::gpu_proclus_multi_outcomes(
-        &mut device(),
-        &data,
+    let gpu: Vec<Clustering> = run_grid(
+        &mut GpuFactory::new(&mut device(), &data, Algo::Baseline),
         &base,
         &settings,
+        ReuseLevel::Independent,
         &NullRecorder,
         &[],
     )
-    .unwrap()
     .into_iter()
     .map(|r| r.unwrap())
     .collect();
     for d in [1usize, 2, 4] {
-        let sharded: Vec<Clustering> = proclus_gpu::sharded_proclus_multi_outcomes(
-            &mut device(),
-            &data,
+        let sharded: Vec<Clustering> = run_grid(
+            &mut ShardedFactory::new(&mut device(), &data, Algo::Baseline),
             &with_devices(&base, d),
             &settings,
+            ReuseLevel::Independent,
             &NullRecorder,
             &[],
         )
-        .unwrap()
         .into_iter()
         .map(|r| r.unwrap())
         .collect();
